@@ -59,6 +59,6 @@ from .plane_tree import (
     marked_count_formula,
     tree_from_lukasiewicz,
 )
-from .planar_map import PlanarMap, weak_dual
+from .planar_map import PlanarMap
 
 __all__ = [name for name in dir() if not name.startswith("_")]

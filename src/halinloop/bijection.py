@@ -21,70 +21,32 @@ they are frozen below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .errors import InvariantError
-from .halin import HalinMap, build_halin, enumerate_halin, satisfies_hstar
+from .halin import (
+    HalinMap,
+    build_halin,
+    dart_vertex,
+    down,
+    enumerate_halin,
+    n_tree_darts,
+    other_dart,
+    rotations_to_nxt,
+    satisfies_hstar,
+    tree_rotations,
+    up,
+)
 from .plane_tree import MarkedTree, PlaneTree, enumerate_trees
-from .planar_map import PlanarMap
 
 _LEAF = -1
-
-
-@dataclass(frozen=True)
-class MarkedDissection:
-    """The weak dual of a Halin map, as a rotation system.
-
-    Dual darts reuse the tree-dart identifiers of the source map, so
-    dart d is dual-incident to the bounded face on its left.  The
-    boundary darts are those dual to leaf edges (the outer polygon);
-    removing them leaves the spanning tree T.  ``root_vertex`` is the
-    dual vertex of the face containing the half-edge and
-    ``marked_pair`` holds its two polygon darts, whose common corner
-    is dual to the root vertex of the Halin map.
-    """
-
-    map: PlanarMap
-    boundary_darts: frozenset[int]
-    root_vertex: int
-    marked_pair: tuple[int, int]
-
-    def tree_part(self) -> PlanarMap:
-        """The dissection with its outer polygon removed.
-
-        Edge deletion relabels darts, so polygon edges are removed in
-        decreasing dart order.
-        """
-        darts = sorted({self.map.edge_of(d)[0] for d in self.boundary_darts}, reverse=True)
-        cur = self.map
-        for d in darts:
-            cur = cur.delete_edge(d)
-        return cur
-
-    def validate(self) -> None:
-        m = self.map
-        # every dual vertex is incident to exactly two polygon darts,
-        # cyclically adjacent in its rotation
-        for orb in m.vertices:
-            pos = [i for i, d in enumerate(orb) if d in self.boundary_darts]
-            if len(pos) != 2:
-                raise InvariantError("dual vertex with %d polygon sides" % len(pos))
-            a, b = pos
-            if not (b == a + 1 or (a == 0 and b == len(orb) - 1)):
-                raise InvariantError("polygon sides not adjacent at a dual vertex")
-        # removing the polygon leaves a connected acyclic map
-        n = m.n_vertices
-        internal = m.n_edges - len(self.boundary_darts) // 2
-        if internal != n - 1:
-            raise InvariantError("dual minus polygon is not a tree")
 
 
 def _face_cycles(H: HalinMap) -> tuple[dict[int, list[int]], dict[int, int]]:
     """Tree-dart cycles of each bounded face, and dart -> face index."""
     m = H.map
-    ntree = 2 * (H.tree.zeta - 1)
+    ntree = n_tree_darts(H.tree.zeta)
     cycles: dict[int, list[int]] = {}
     for fi in range(m.n_faces):
         if fi == H.outer_face:
@@ -93,36 +55,13 @@ def _face_cycles(H: HalinMap) -> tuple[dict[int, list[int]], dict[int, int]]:
     return cycles, {d: fi for fi, cyc in cycles.items() for d in cyc}
 
 
-def dissection(H: HalinMap) -> MarkedDissection:
-    """Materialize the weak dual of H as a marked dissection."""
-    code = H.tree.code
-    ntree = 2 * (H.tree.zeta - 1)
-    cycles, _ = _face_cycles(H)
-    nxt = [0] * ntree
-    for cyc in cycles.values():
-        for i, d in enumerate(cyc):
-            nxt[d] = cyc[(i + 1) % len(cyc)]
-    twin = [H.map.twin[d] for d in range(ntree)]
-    boundary = frozenset(d for d in range(ntree) if code[d // 2 + 1] == 0)
-    rot0 = _root_rotation(cycles[H.root_face], code)
-    pair = tuple(sorted(set(cycles[H.root_face]) - set(rot0)))
-    root_dart = rot0[0] if rot0 else pair[0]
-    dual = PlanarMap(tuple(twin), tuple(nxt), root_dart)
-    md = MarkedDissection(dual, boundary, dual.vertex_of[pair[0]], pair)
-    return md
-
-
-def _is_internal(code: tuple[int, ...], d: int) -> bool:
-    return code[d // 2 + 1] != 0
-
-
-def _root_rotation(cyc: list[int], code: tuple[int, ...]) -> list[int]:
+def _root_rotation(cyc: list[int], internal: list[bool]) -> list[int]:
     """Rotation of the root dual vertex cut just after its polygon-dart
     pair, with the pair removed."""
     r = len(cyc)
     pair_at = None
     for i, d in enumerate(cyc):
-        if not _is_internal(code, d) and not _is_internal(code, cyc[(i + 1) % r]):
+        if not internal[d] and not internal[cyc[(i + 1) % r]]:
             pair_at = i
             break
     if pair_at is None:
@@ -143,8 +82,10 @@ def phi_with_faces(H: HalinMap) -> tuple[MarkedTree, tuple[int, ...]]:
         raise InvariantError("map does not satisfy the one-leaf-child rule")
     m = H.map
     code = H.tree.code
+    # dual to an internal tree edge, not to a polygon side
+    internal = [code[dart_vertex(d)] != 0 for d in range(n_tree_darts(H.tree.zeta))]
     cycles, face_of_dart = _face_cycles(H)
-    rot0 = _root_rotation(cycles[H.root_face], code)
+    rot0 = _root_rotation(cycles[H.root_face], internal)
 
     out_code: list[int] = []
     out_marks: list[int] = []
@@ -155,15 +96,15 @@ def phi_with_faces(H: HalinMap) -> tuple[MarkedTree, tuple[int, ...]]:
     while work:
         face, rot, is_root = work.pop()
         faces_pre.append(face)
-        children = [d for d in rot if _is_internal(code, d)]
+        children = [d for d in rot if internal[d]]
         out_code.append(len(children))
         if is_root:
             out_marks.append(0)  # placeholder, fixed below
         else:
-            leaf_pos = [i for i, d in enumerate(rot) if not _is_internal(code, d)]
+            leaf_pos = [i for i, d in enumerate(rot) if not internal[d]]
             if len(leaf_pos) != 2 or leaf_pos[1] != leaf_pos[0] + 1:
                 raise InvariantError("dual vertex without an adjacent polygon pair")
-            out_marks.append(sum(1 for d in rot[: leaf_pos[0]] if _is_internal(code, d)))
+            out_marks.append(sum(1 for d in rot[: leaf_pos[0]] if internal[d]))
         for d in reversed(children):
             t = m.twin[d]
             cf = face_of_dart[t]
@@ -179,9 +120,9 @@ def phi_with_faces(H: HalinMap) -> tuple[MarkedTree, tuple[int, ...]]:
     # root mark: index of the child dual to the root edge, or 0 when the
     # root edge is a leaf edge
     rd = m.root_dart
-    if _is_internal(code, rd):
+    if internal[rd]:
         dual = rd if face_of_dart[rd] == H.root_face else m.twin[rd]
-        children0 = [d for d in rot0 if _is_internal(code, d)]
+        children0 = [d for d in rot0 if internal[d]]
         out_marks[0] = children0.index(dual) + 1
     return MarkedTree(PlaneTree(tuple(out_code)), tuple(out_marks)), tuple(faces_pre)
 
@@ -204,28 +145,15 @@ def phi_inverse_with_cells(marked: MarkedTree) -> tuple[HalinMap, tuple[int, ...
     if n == 1:
         return build_halin(PlaneTree((1, 0))), (0,)
     ch = T.children()
-
-    def down(v: int) -> int:
-        return 2 * (v - 1)
-
-    def up(v: int) -> int:
-        return 2 * (v - 1) + 1
-
-    nxt: dict[int, int] = {}
-    for v in range(n):
-        rot = [down(c) for c in ch[v]]
-        if v != 0:
-            rot = [up(v)] + rot
-        for i, d in enumerate(rot):
-            nxt[d] = rot[(i + 1) % len(rot)]
+    nxt = rotations_to_nxt(tree_rotations(T), n_tree_darts(n))
 
     # contour of the tree: the single face of its embedding
     start = down(ch[0][0])
     contour = [start]
-    d = nxt[start ^ 1]
+    d = nxt[other_dart(start)]
     while d != start:
         contour.append(d)
-        d = nxt[d ^ 1]
+        d = nxt[other_dart(d)]
 
     # each vertex contributes one cut: the dart leaving its marked corner
     cuts: dict[int, int] = {}
@@ -249,7 +177,7 @@ def phi_inverse_with_cells(marked: MarkedTree) -> tuple[HalinMap, tuple[int, ...
 
     # cyclic neighbour lists: adjacent cell per segment dart, then the
     # leaf child at the wrap
-    rots = [[cell_of[dd ^ 1] for dd in s] + [_LEAF] for s in segs]
+    rots = [[cell_of[other_dart(dd)] for dd in s] + [_LEAF] for s in segs]
 
     rm = marks[0]
     if rm == 0:
@@ -257,7 +185,7 @@ def phi_inverse_with_cells(marked: MarkedTree) -> tuple[HalinMap, tuple[int, ...
         first = _LEAF
     else:
         e = down(ch[0][rm - 1])
-        root_cell, first = cell_of[e ^ 1], cell_of[e]
+        root_cell, first = cell_of[other_dart(e)], cell_of[e]
 
     # iterative preorder over the cell tree
     out: list[int] = []

@@ -46,7 +46,7 @@ def run(argv: list[str]) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
-        payload = args.func(args)
+        _emit(args, args.func(args))
     except BudgetExceededError as e:
         _emit_error(args, "budget", e)
         return EXIT_BUDGET
@@ -56,7 +56,6 @@ def run(argv: list[str]) -> int:
     except UsageError as e:
         _emit_error(args, "usage", e)
         return EXIT_USAGE
-    _emit(args, payload)
     return EXIT_OK
 
 
@@ -69,17 +68,20 @@ def _emit(args, payload: dict) -> None:
         text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
     elif fmt == "csv":
         if "csv" not in payload:
-            raise SystemExit("no CSV form for this command")
+            raise UsageError("no CSV form for this command")
         text = payload["csv"]
     elif fmt == "dot":
         if "dot" not in payload:
-            raise SystemExit("no DOT form for this command")
+            raise UsageError("no DOT form for this command")
         text = payload["dot"]
     else:
         text = payload.get("text", json.dumps(_jsonable(payload), sort_keys=True)) + "\n"
     out = getattr(args, "out", None)
     if out:
-        atomic_write(out, text)
+        try:
+            atomic_write(out, text)
+        except OSError as e:
+            raise UsageError(str(e)) from e
     else:
         sys.stdout.write(text)
 
@@ -292,7 +294,7 @@ def _load_metric(path: str):
 
     try:
         return FiniteMetricSpace(np.loadtxt(path, delimiter=",", ndmin=2))
-    except OSError as e:
+    except (OSError, ValueError) as e:
         raise UsageError(str(e)) from e
 
 
@@ -325,17 +327,18 @@ def _cmd_exp(args) -> dict:
         samples_per_size=args.samples,
         seed=args.seed,
         alpha=args.alpha,
-        out=args.out if args.action == "scaling" else None,
         map_diameter_max_n=args.map_diameter_max_n,
     )
     if args.action == "scaling":
         res = scaling_run(cfg)
+        res["config"]["out"] = args.out
         payload = {"config": res["config"], "summary": res["summary"],
                    "csv": rows_to_csv(res["rows"])}
         payload["text"] = json.dumps(_jsonable(payload["summary"]), indent=2, sort_keys=True)
         return payload
     if args.action == "lukasiewicz":
         res = lukasiewicz_profile(cfg)
+        res["config"]["out"] = args.out
         res["text"] = json.dumps(_jsonable(res["ks_consecutive"]), indent=2, sort_keys=True)
         return res
     raise UsageError("unknown exp action %r" % args.action)
@@ -372,7 +375,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp, fmts=("text", "json")):
         sp.add_argument("--format", choices=fmts, default="text")
         sp.add_argument("--out", default=None, help="write output atomically to a file")
-        sp.add_argument("--threads", type=int, default=1)
 
     sp = sub.add_parser("enumerate", help="enumerate Halin maps with n bounded faces")
     sp.add_argument("-n", type=int, required=True)
@@ -449,3 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_render)
 
     return p
+
+
+if __name__ == "__main__":
+    main()

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
-import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -30,7 +28,7 @@ import numpy as np
 from .errors import InvariantError, SizeGuardError, UsageError
 from .gw import OffspringDistribution, b_n_of, mu_from_weights, stable_mu
 from .halin import HalinMap
-from .looptree import LoopGraph, loop, loop_diameter
+from .looptree import LoopGraph, loop_diameter, map_graph
 from .plane_tree import MarkedTree, PlaneTree, lukasiewicz
 
 _RENDER_GUARD = 5_000
@@ -44,7 +42,6 @@ class ScalingRunConfig:
     seed: int = 0
     alpha: float | None = 1.5
     weights: Callable[[int], float] | None = None
-    out: str | None = None
     map_diameter_max_n: int = _MAP_DIAMETER_MAX_N
 
     def __post_init__(self):
@@ -68,7 +65,7 @@ def _cell_rng(seed: int, n: int, sample: int) -> tuple[int, np.random.Generator]
 
 def scaling_run(cfg: ScalingRunConfig) -> dict:
     """Run the experiment grid; returns rows, per-size medians and the
-    regression summary (and writes the CSV when cfg.out is set)."""
+    regression summary."""
     mu = cfg.offspring()
     rows: list[dict] = []
     for n in cfg.sizes:
@@ -88,10 +85,7 @@ def scaling_run(cfg: ScalingRunConfig) -> dict:
             if n <= cfg.map_diameter_max_n:
                 row["diam_map"] = _paired_map_diameter(tree, rng, row)
             rows.append(row)
-    summary = _summarize(rows, cfg)
-    if cfg.out is not None:
-        write_csv(cfg.out, rows)
-    return {"config": _config_dict(cfg), "rows": rows, "summary": summary}
+    return {"config": _config_dict(cfg), "rows": rows, "summary": _summarize(rows, cfg)}
 
 
 def _sample_checked(mu: OffspringDistribution, n: int, rng: np.random.Generator) -> PlaneTree:
@@ -109,9 +103,7 @@ def _paired_map_diameter(tree: PlaneTree, rng: np.random.Generator, row: dict) -
     marks = tuple(int(rng.integers(0, k + 1)) for k in tree.code)
     H = phi_inverse(MarkedTree(tree, marks))
     H.validate()
-    m = H.map
-    edges = tuple((m.vertex_of[d], m.vertex_of[t]) for d, t in m.edges())
-    diam = LoopGraph(m.n_vertices, edges).diameter()
+    diam = map_graph(H.map).diameter()
     if abs(diam - row["diam_loop"]) > 2 * row["height"] + 3:
         raise InvariantError("map and looptree diameters differ beyond the bound")
     return diam
@@ -256,10 +248,6 @@ def rows_to_csv(rows: Sequence[dict]) -> str:
     return buf.getvalue()
 
 
-def write_csv(path: str, rows: Sequence[dict]) -> None:
-    atomic_write(path, rows_to_csv(rows))
-
-
 def atomic_write(path: str, text: str) -> None:
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
@@ -280,6 +268,5 @@ def _config_dict(cfg: ScalingRunConfig) -> dict:
         "seed": cfg.seed,
         "alpha": cfg.alpha,
         "weights": None if cfg.weights is None else "custom",
-        "out": cfg.out,
         "map_diameter_max_n": cfg.map_diameter_max_n,
     }

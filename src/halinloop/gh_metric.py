@@ -59,23 +59,32 @@ class FiniteMetricSpace:
         return self.dist.max(axis=1)
 
     @staticmethod
-    def from_edges(n: int, edges, labels=None) -> "FiniteMetricSpace":
+    def from_edges(n: int, edges) -> "FiniteMetricSpace":
         """Graph metric of an undirected unit-length (multi)graph."""
-        from scipy.sparse import coo_matrix
-        from scipy.sparse.csgraph import dijkstra
+        return FiniteMetricSpace(bfs_distances(sparse_graph(n, edges)))
 
-        if n == 1:
-            return FiniteMetricSpace(np.zeros((1, 1)))
-        rows, cols = [], []
-        for a, b in edges:
-            if a != b:
-                rows += [a, b]
-                cols += [b, a]
-        g = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
-        d = dijkstra(g, unweighted=True, directed=False)
-        if np.any(np.isinf(d)):
-            raise UsageError("graph is disconnected")
-        return FiniteMetricSpace(d)
+
+def sparse_graph(n: int, edges):
+    """Symmetric CSR adjacency of an undirected multigraph on n vertices;
+    loops are dropped since they never shorten a path."""
+    from scipy import sparse
+
+    rows, cols = [], []
+    for a, b in edges:
+        if a != b:
+            rows += [a, b]
+            cols += [b, a]
+    return sparse.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def bfs_distances(graph, sources=None) -> np.ndarray:
+    """Unit-length distances from each source (all vertices by default)."""
+    from scipy.sparse.csgraph import dijkstra
+
+    d = dijkstra(graph, unweighted=True, directed=False, indices=sources)
+    if np.any(np.isinf(d)):
+        raise UsageError("graph is disconnected")
+    return d
 
 
 @dataclass(frozen=True)

@@ -131,8 +131,9 @@ def mu_from_weights(
     mu = OffspringDistribution(
         name="weights", pmf_func=pmf, mean=m / s, params={"a": a, "b": b}
     )
-    if mu.period() != 1:
-        object.__setattr__(mu, "params", {**mu.params, "periodic": mu.period()})
+    period = mu.period()
+    if period != 1:
+        object.__setattr__(mu, "params", {**mu.params, "periodic": period})
     return mu
 
 
@@ -198,7 +199,6 @@ class _SplitTables:
         self.n = n
         self.tables: dict[int, np.ndarray] = {1: p}
         need = set()
-        m = n
         stack = [n]
         while stack:
             m = stack.pop()

@@ -69,8 +69,7 @@ class HalinMap:
     @cached_property
     def outer_face(self) -> int:
         # the unbounded face is the orbit of the forward boundary darts
-        zeta = self.tree.zeta
-        return self.map.face_of[2 * (zeta - 1)]
+        return self.map.face_of[n_tree_darts(self.tree.zeta)]
 
     @cached_property
     def root_face(self) -> int:
@@ -112,7 +111,7 @@ class HalinMap:
         # internal vertices have degree k+1 (children plus up edge, or
         # plus half-edge at the root); leaves have degree 3.
         for v, orb in enumerate(m.vertices):
-            expect = _expected_degree(code, v)
+            expect = 3 if code[v] == 0 else code[v] + 1
             if len(orb) != expect:
                 raise InvariantError(
                     "vertex %d degree %d, expected %d" % (v, len(orb), expect)
@@ -136,76 +135,78 @@ class HalinMap:
                 )
 
 
-def _expected_degree(code: tuple[int, ...], v: int) -> int:
-    k = code[v]
-    if k == 0:
-        return 3  # up edge + two boundary darts
-    if v == 0:
-        return k + 1  # children + half-edge
-    return k + 1  # children + up edge
+# -- dart layout ---------------------------------------------------------------
+#
+# Non-root vertex v has down dart 2(v-1) at its parent and up dart
+# 2(v-1)+1 at itself.  Boundary edge i between consecutive leaves l_i,
+# l_{i+1} (cyclically) has forward dart f_i = 2(zeta-1) + 2i at l_i and
+# backward dart g_i = f_i + 1 at l_{i+1}; the half-edge dart comes last.
+# Both darts of every edge but the half-edge differ in their lowest bit.
+
+
+def down(v: int) -> int:
+    return 2 * (v - 1)
+
+
+def up(v: int) -> int:
+    return 2 * (v - 1) + 1
+
+
+def other_dart(d: int) -> int:
+    """The twin of a dart that is not the half-edge."""
+    return d ^ 1
+
+
+def dart_vertex(d: int) -> int:
+    """The non-root vertex whose up edge carries tree dart d."""
+    return d // 2 + 1
+
+
+def n_tree_darts(zeta: int) -> int:
+    """Number of tree darts, which is also the first boundary dart f_0."""
+    return 2 * (zeta - 1)
+
+
+def tree_rotations(tree: PlaneTree) -> list[list[int]]:
+    """Counterclockwise tree darts around each vertex: the up dart (none
+    at the root), then the down darts of the children."""
+    return [
+        ([up(v)] if v else []) + [down(c) for c in kids]
+        for v, kids in enumerate(tree.children())
+    ]
+
+
+def rotations_to_nxt(rotations: list[list[int]], n_darts: int) -> list[int]:
+    """The ``nxt`` permutation whose cycles are the given rotations."""
+    nxt = [0] * n_darts
+    for rot in rotations:
+        for j, d in enumerate(rot):
+            nxt[d] = rot[(j + 1) % len(rot)]
+    return nxt
 
 
 def build_halin(tree: PlaneTree) -> HalinMap:
     """Assemble the rotation system for a tree of one-leaf-child type.
 
-    Dart layout: non-root vertex v has down dart 2(v-1) at its parent
-    and up dart 2(v-1)+1 at itself; boundary edge i between consecutive
-    leaves l_i, l_{i+1} (cyclically) has forward dart f_i at l_i and
-    backard dart g_i at l_{i+1}; the half-edge dart comes last.
     Rotations (ccw): internal non-root vertex (up, c_1..c_k); root
     (c_1, h, c_2..c_k); leaf number i (up, g_{i-1}, f_i).
     """
-    code = tree.code
     zeta = tree.zeta
     if zeta < 2:
         raise UsageError("need at least one edge")
     if not satisfies_hstar(tree):
         raise InvariantError("tree violates the one-leaf-child rule")
-    children = tree.children()
     leaves = tree.leaves()
     lam = len(leaves)
-    leaf_index = {v: i for i, v in enumerate(leaves)}
-
-    def down(v: int) -> int:
-        return 2 * (v - 1)
-
-    def up(v: int) -> int:
-        return 2 * (v - 1) + 1
-
-    base = 2 * (zeta - 1)
+    base = n_tree_darts(zeta)
     h = base + 2 * lam
-    n_darts = h + 1
-    twin = [0] * n_darts
-    for v in range(1, zeta):
-        twin[down(v)] = up(v)
-        twin[up(v)] = down(v)
-    for i in range(lam):
-        twin[base + 2 * i] = base + 2 * i + 1
-        twin[base + 2 * i + 1] = base + 2 * i
-    twin[h] = h
-
-    rotations: list[list[int]] = []
-    for v in range(zeta):
-        k = code[v]
-        if k > 0:
-            rot = [down(c) for c in children[v]]
-            if v == 0:
-                rot.insert(1, h)
-            else:
-                rot.insert(0, up(v))
-        else:
-            i = leaf_index[v]
-            f_i = base + 2 * i
-            g_prev = base + 2 * ((i - 1) % lam) + 1
-            rot = [up(v), g_prev, f_i]
-        rotations.append(rot)
-
-    nxt = [0] * n_darts
-    for rot in rotations:
-        for j, d in enumerate(rot):
-            nxt[d] = rot[(j + 1) % len(rot)]
-
-    m = PlanarMap(tuple(twin), tuple(nxt), down(children[0][0]), h)
+    rotations = tree_rotations(tree)
+    rotations[0].insert(1, h)
+    for i, v in enumerate(leaves):
+        rotations[v] += [base + 2 * ((i - 1) % lam) + 1, base + 2 * i]
+    twin = [other_dart(d) for d in range(h)] + [h]
+    # rooted at the down dart of vertex 1, the root's first child
+    m = PlanarMap(tuple(twin), tuple(rotations_to_nxt(rotations, h + 1)), down(1), h)
     return HalinMap(tree, m)
 
 

@@ -22,9 +22,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvariantError, SizeGuardError, UsageError
-from .gh_metric import Correspondence, FiniteMetricSpace
+from .errors import InvariantError, SizeGuardError
+from .gh_metric import Correspondence, FiniteMetricSpace, bfs_distances, sparse_graph
 from .halin import HalinMap
+from .planar_map import PlanarMap
 from .plane_tree import MarkedTree, PlaneTree
 
 _ALL_PAIRS_GUARD = 512
@@ -38,35 +39,11 @@ class LoopGraph:
 
     @cached_property
     def _csr(self):
-        from scipy.sparse import coo_matrix
-
-        rows, cols = [], []
-        for a, b in self.edges:
-            if a != b:
-                rows += [a, b]
-                cols += [b, a]
-        return coo_matrix(
-            (np.ones(len(rows)), (rows, cols)), shape=(self.n, self.n)
-        ).tocsr()
-
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for a, b in self.edges:
-            if a != b:
-                adj[a].append(b)
-                adj[b].append(a)
-        return adj
+        return sparse_graph(self.n, self.edges)
 
     def distances_from(self, sources) -> np.ndarray:
         """BFS distances from each source; rows follow ``sources``."""
-        from scipy.sparse.csgraph import dijkstra
-
-        if self.n == 1:
-            return np.zeros((len(np.atleast_1d(sources)), 1))
-        d = dijkstra(self._csr, unweighted=True, directed=False, indices=sources)
-        if np.any(np.isinf(d)):
-            raise UsageError("graph is disconnected")
-        return np.atleast_2d(d)
+        return np.atleast_2d(bfs_distances(self._csr, sources))
 
     def graph_distance(self, u: int, v: int) -> int:
         return int(self.distances_from([u])[0][v])
@@ -80,9 +57,6 @@ class LoopGraph:
 
     def metric_space(self) -> FiniteMetricSpace:
         return FiniteMetricSpace(self.all_distances())
-
-    def eccentricity(self, v: int) -> int:
-        return int(self.distances_from([v])[0].max())
 
     def diameter(self) -> int:
         """Exact diameter: all-pairs BFS up to a size cutoff, beyond it
@@ -180,46 +154,48 @@ def loop_diameter(tree: PlaneTree) -> int:
     return best
 
 
+def map_graph(m: PlanarMap) -> LoopGraph:
+    """Vertex graph of a map: one edge per dart pair, none for the
+    half-edge."""
+    edges = tuple((m.vertex_of[d], m.vertex_of[t]) for d, t in m.edges())
+    return LoopGraph(m.n_vertices, edges)
+
+
 def halin_metric(H: HalinMap) -> FiniteMetricSpace:
     """Graph metric of the map itself (tree plus boundary edges; the
     half-edge carries no length)."""
-    m = H.map
-    edges = []
-    for d, t in m.edges():
-        edges.append((m.vertex_of[d], m.vertex_of[t]))
-    return FiniteMetricSpace.from_edges(m.n_vertices, edges)
+    g = map_graph(H.map)
+    return FiniteMetricSpace.from_edges(g.n, g.edges)
+
+
+def _leaf_contraction(tree: PlaneTree) -> tuple[tuple[int, ...], list[int]]:
+    """Internal vertex ids, and for every vertex the index of its image
+    among them once each leaf edge is contracted into the parent."""
+    code = tree.code
+    parents = tree.parents()
+    internal = tuple(v for v in range(tree.zeta) if code[v] > 0)
+    index = {v: i for i, v in enumerate(internal)}
+    return internal, [index[v] if code[v] > 0 else index[parents[v]] for v in range(tree.zeta)]
 
 
 def hat_H(H: HalinMap) -> tuple[FiniteMetricSpace, tuple[int, ...]]:
     """Metric on the internal vertices of the underlying tree after
     contracting every leaf edge; returns (space, internal vertex ids)."""
-    code = H.tree.code
+    internal, image = _leaf_contraction(H.tree)
     parents = H.tree.parents()
-    internal = [v for v in range(H.tree.zeta) if code[v] > 0]
-    index = {v: i for i, v in enumerate(internal)}
-
-    def image(v: int) -> int:
-        return index[v] if code[v] > 0 else index[parents[v]]
-
-    edges = []
-    for v in range(1, H.tree.zeta):
-        if code[v] > 0:
-            edges.append((index[parents[v]], index[v]))
+    edges = [(image[parents[v]], image[v]) for v in internal if v > 0]
     leaves = H.tree.leaves()
     lam = len(leaves)
     for i in range(lam):
-        a, b = image(leaves[i]), image(leaves[(i + 1) % lam])
+        a, b = image[leaves[i]], image[leaves[(i + 1) % lam]]
         if a != b:
             edges.append((a, b))
-    return FiniteMetricSpace.from_edges(len(internal), edges), tuple(internal)
+    return FiniteMetricSpace.from_edges(len(internal), edges), internal
 
 
 def hat_L(marked: MarkedTree) -> FiniteMetricSpace:
     """Root-shifted looptree metric on the vertex set of the tree."""
-    T = marked.shape
-    g = hat_L_graph(marked)
-    d = LoopGraph(T.zeta, g).all_distances(force=T.zeta <= _MATRIX_GUARD)
-    return FiniteMetricSpace(d)
+    return LoopGraph(marked.shape.zeta, hat_L_graph(marked)).metric_space()
 
 
 def hat_L_graph(marked: MarkedTree) -> tuple[tuple[int, int], ...]:
@@ -293,16 +269,7 @@ def check_lemma_bound(H: HalinMap, exact: bool | None = None, budget: int = 10**
         return out
 
     hh, hl, R = canonical_correspondence(H)
-    code = H.tree.code
-    parents = H.tree.parents()
-    internal = [v for v in range(H.tree.zeta) if code[v] > 0]
-    index = {v: i for i, v in enumerate(internal)}
-    contract = Correspondence(
-        tuple(
-            (v, index[v] if code[v] > 0 else index[parents[v]])
-            for v in range(H.tree.zeta)
-        )
-    )
+    contract = Correspondence(tuple(enumerate(_leaf_contraction(H.tree)[1])))
     ident = Correspondence(tuple((i, i) for i in range(L.size)))
     out["upper"] = 0.5 * (
         distortion(contract, Hs, hh)

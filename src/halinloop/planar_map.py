@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import InvariantError, UsageError
+from .errors import InvariantError
 
 
 @dataclass(frozen=True)
@@ -145,66 +145,6 @@ class PlanarMap:
                 out.append((d, t))
         return out
 
-    # -- surgery -------------------------------------------------------------
-
-    def _prev(self) -> list[int]:
-        prev = [0] * self.n_darts
-        for d in range(self.n_darts):
-            prev[self.nxt[d]] = d
-        return prev
-
-    def delete_edge(self, dart: int) -> "PlanarMap":
-        """Remove the edge containing ``dart``; faces on its two sides merge
-        when they are distinct."""
-        t = self.twin[dart]
-        if dart == self.half_edge_dart:
-            raise UsageError("cannot delete the half-edge")
-        remove = {dart, t}
-        return self._drop_darts(remove, self.nxt)
-
-    def contract_edge(self, dart: int) -> "PlanarMap":
-        """Contract a non-loop edge, merging its endpoints.  The rotation
-        of the merged vertex splices the two rotations at the edge."""
-        t = self.twin[dart]
-        if dart == self.half_edge_dart:
-            raise UsageError("cannot contract the half-edge")
-        if self.vertex_of[dart] == self.vertex_of[t]:
-            raise UsageError("cannot contract a loop")
-        prev = self._prev()
-        nxt = list(self.nxt)
-        # splice: ... -> prev[dart] -> nxt[t] -> ... -> prev[t] -> nxt[dart] -> ...
-        nxt[prev[dart]] = self.nxt[t]
-        nxt[prev[t]] = self.nxt[dart]
-        # handle degree-1 endpoints where prev[x] == x
-        if prev[dart] == dart:  # dart alone at its vertex
-            nxt[prev[t]] = self.nxt[t]
-        if prev[t] == t:
-            nxt[prev[dart]] = self.nxt[dart]
-        return self._drop_darts({dart, t}, tuple(nxt))
-
-    def _drop_darts(self, remove: set[int], nxt_base) -> "PlanarMap":
-        keep = [d for d in range(self.n_darts) if d not in remove]
-        if not keep:
-            return PlanarMap((), (), -1, None)
-        relab = {d: i for i, d in enumerate(keep)}
-        nxt_new = []
-        for d in keep:
-            e = nxt_base[d]
-            while e in remove:
-                e = nxt_base[e]
-            nxt_new.append(relab[e])
-        twin_new = [relab[self.twin[d]] for d in keep]
-        root = self.root_dart
-        while root in remove:
-            root = nxt_base[root]
-        half = self.half_edge_dart
-        return PlanarMap(
-            tuple(twin_new),
-            tuple(nxt_new),
-            relab[root],
-            relab[half] if half is not None and half not in remove else None,
-        )
-
     # -- canonical form / serialization ---------------------------------------
 
     def canonical(self, outer_face: int | None = None) -> tuple:
@@ -256,18 +196,6 @@ class PlanarMap:
             obj.get("half_edge_dart"),
         )
 
-    def to_dot(self, name: str = "map") -> str:
-        lines = ["graph %s {" % name]
-        for v in range(self.n_vertices):
-            lines.append('  v%d [label="%d"];' % (v, v))
-        for d, t in self.edges():
-            lines.append("  v%d -- v%d;" % (self.vertex_of[d], self.vertex_of[t]))
-        if self.half_edge_dart is not None:
-            lines.append('  h [shape=point,label=""];')
-            lines.append("  v%d -- h [style=dashed];" % self.vertex_of[self.half_edge_dart])
-        lines.append("}")
-        return "\n".join(lines)
-
 
 def _orbits(perm) -> tuple[tuple[int, ...], ...]:
     n = len(perm)
@@ -284,46 +212,3 @@ def _orbits(perm) -> tuple[tuple[int, ...], ...]:
             d = perm[d]
         out.append(tuple(orb))
     return tuple(out)
-
-
-def weak_dual(map_: PlanarMap, outer_face: int) -> PlanarMap:
-    """Weak dual: one vertex per bounded face, one edge per primal edge
-    whose two sides are distinct bounded faces.
-
-    Edges bordering the unbounded face, loops in the dual (an edge with
-    the same bounded face on both sides) and the half-edge do not
-    contribute.  The rotation around each dual vertex follows the face
-    traversal order of the corresponding primal face.
-    """
-    face_of = map_.face_of
-    keep = []
-    for d in range(map_.n_darts):
-        t = map_.twin[d]
-        if t == d:
-            continue
-        if face_of[d] == outer_face or face_of[t] == outer_face:
-            continue
-        if face_of[d] == face_of[t]:
-            continue
-        keep.append(d)
-    if not keep:
-        return PlanarMap((), (), -1, None)
-    dart_ids = {}
-    nxt_pairs = []
-    for fi, cyc in enumerate(map_.faces):
-        if fi == outer_face:
-            continue
-        rot = [d for d in cyc if map_.twin[d] != d
-               and face_of[map_.twin[d]] != outer_face
-               and face_of[map_.twin[d]] != fi]
-        for d in rot:
-            dart_ids[d] = len(dart_ids)
-        nxt_pairs.append(rot)
-    nxt = [0] * len(dart_ids)
-    for rot in nxt_pairs:
-        for i, d in enumerate(rot):
-            nxt[dart_ids[d]] = dart_ids[rot[(i + 1) % len(rot)]]
-    twin = [0] * len(dart_ids)
-    for d, i in dart_ids.items():
-        twin[i] = dart_ids[map_.twin[d]]
-    return PlanarMap(tuple(twin), tuple(nxt), 0)

@@ -4,14 +4,16 @@ A tree with vertices v(0) < v(1) < ... < v(n-1) in lexicographic
 (depth-first) order is stored as the sequence of child counts
 (k_{v(0)}, ..., k_{v(n-1)}).  This is exactly the step sequence of the
 tree's encoding walk, so validity is a prefix condition on partial sums
-of (k - 1).  Ulam-Harris labels are derived views and never stored.
+of (k - 1).  Ulam-Harris labels are derived views and never stored;
+parents, children and depths are derived once per tree and cached.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InvariantError, SizeGuardError
 
@@ -49,47 +51,51 @@ class PlaneTree:
         """Total number of vertices."""
         return len(self.code)
 
-    def parents(self) -> list[int]:
-        """Parent index per vertex (-1 for the root)."""
+    @cached_property
+    def _parents(self) -> tuple[int, ...]:
         par = [-1] * self.zeta
-        stack: list[list[int]] = []  # [vertex, remaining children]
+        slots: list[int] = []  # one entry per unvisited child, deepest on top
         for i, k in enumerate(self.code):
             if i > 0:
-                while stack[-1][1] == 0:
-                    stack.pop()
-                par[i] = stack[-1][0]
-                stack[-1][1] -= 1
-            stack.append([i, k])
-        return par
+                par[i] = slots.pop()
+            slots += [i] * k
+        return tuple(par)
 
-    def children(self) -> list[list[int]]:
+    @cached_property
+    def _children(self) -> tuple[tuple[int, ...], ...]:
         ch: list[list[int]] = [[] for _ in range(self.zeta)]
-        for v, p in enumerate(self.parents()):
+        for v, p in enumerate(self._parents):
             if p >= 0:
                 ch[p].append(v)
-        return ch
+        return tuple(map(tuple, ch))
 
-    def depths(self) -> list[int]:
+    @cached_property
+    def _depths(self) -> tuple[int, ...]:
         dep = [0] * self.zeta
-        for v, p in enumerate(self.parents()):
+        for v, p in enumerate(self._parents):
             if p >= 0:
                 dep[v] = dep[p] + 1
-        return dep
+        return tuple(dep)
+
+    def parents(self) -> tuple[int, ...]:
+        """Parent index per vertex (-1 for the root)."""
+        return self._parents
+
+    def children(self) -> tuple[tuple[int, ...], ...]:
+        return self._children
+
+    def depths(self) -> tuple[int, ...]:
+        return self._depths
 
     def height(self) -> int:
-        return max(self.depths())
+        return max(self._depths)
 
     def leaves(self) -> list[int]:
         """Leaf vertices in lexicographic order."""
         return [i for i, k in enumerate(self.code) if k == 0]
 
     def leaf_count(self) -> int:
-        return len(self.leaves())
-
-    def lex_vertices(self) -> list[tuple[int, int]]:
-        """(depth, child count) per vertex in depth-first order."""
-        dep = self.depths()
-        return [(dep[i], self.code[i]) for i in range(self.zeta)]
+        return self.code.count(0)
 
     def __str__(self) -> str:
         return format_tree(self)

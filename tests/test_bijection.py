@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from halinloop.bijection import (
-    MarkedDissection,
-    dissection,
     phi,
     phi_inverse,
     phi_inverse_with_cells,
@@ -73,27 +71,6 @@ class TestDegreeLaw:
             for H in enumerate_halin(n):
                 _, faces = phi_with_faces(H)
                 assert sorted(faces) == sorted(H.bounded_faces())
-
-
-class TestDissection:
-    def test_dissection_validates(self):
-        for n in range(1, 5):
-            for H in enumerate_halin(n):
-                dissection(H).validate()
-
-    def test_polygon_has_one_edge_per_leaf(self):
-        for n in range(2, 5):
-            for H in enumerate_halin(n):
-                d = dissection(H)
-                assert len(d.boundary_darts) == 2 * H.tree.leaf_count()
-
-    def test_tree_part_spans_dual_vertices(self):
-        for n in range(2, 5):
-            for H in enumerate_halin(n):
-                d = dissection(H)
-                tp = d.tree_part()
-                assert tp.n_vertices == H.n_internal
-                assert tp.n_edges == H.n_internal - 1
 
 
 class TestCells:

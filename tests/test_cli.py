@@ -1,9 +1,15 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from halinloop.cli import EXIT_BUDGET, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, run
+import halinloop
+from halinloop.cli import EXIT_BUDGET, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, _build_parser, run
+from halinloop.experiments import ScalingRunConfig, rows_to_csv, scaling_run
 
 
 @pytest.fixture
@@ -83,6 +89,12 @@ class TestGH:
         capout(["gh", "exact", "--a", "/no/such.csv", "--b", "/no/such.csv"],
                expect=EXIT_USAGE)
 
+    def test_malformed_csv_is_usage_error(self, capout, tmp_path):
+        a = tmp_path / "a.csv"
+        a.write_text("0,1\n1,zero\n")
+        for action in ("exact", "bounds"):
+            capout(["gh", action, "--a", str(a), "--b", str(a)], expect=EXIT_USAGE)
+
 
 class TestSampleAndMu:
     def test_sample_deterministic_via_seed_flag(self, capout):
@@ -125,6 +137,11 @@ class TestLoopAndRender:
     def test_bad_tree_is_usage_error(self, capout):
         capout(["loop", "--tree", "2 0"], expect=EXIT_USAGE)
 
+    def test_format_without_such_form_is_usage_error(self, capout):
+        capout(["loop", "--tree", "3 0 0 0", "--format", "csv"], expect=EXIT_USAGE)
+        capout(["exp", "lukasiewicz", "--sizes", "16", "--samples", "2", "--format", "csv"],
+               expect=EXIT_USAGE)
+
 
 class TestExp:
     def test_scaling_csv(self, capout):
@@ -137,12 +154,14 @@ class TestExp:
         assert len(lines) == 7
 
     def test_scaling_out_file_atomic(self, capout, tmp_path):
-        out_file = tmp_path / "r.csv"
-        capout(
-            ["exp", "scaling", "--sizes", "16", "--samples", "2", "--seed", "1",
-             "--format", "csv", "--out", str(out_file)]
-        )
-        assert out_file.read_text().startswith("n,seed,sample")
+        argv = ["exp", "scaling", "--sizes", "16", "--samples", "2", "--seed", "1"]
+        csv_file, json_file = tmp_path / "r.csv", tmp_path / "r.json"
+        capout(argv + ["--format", "csv", "--out", str(csv_file)])
+        capout(argv + ["--format", "json", "--out", str(json_file)])
+        rows = scaling_run(ScalingRunConfig(sizes=(16,), samples_per_size=2, seed=1))["rows"]
+        assert csv_file.read_text() == rows_to_csv(rows)
+        assert json.loads(json_file.read_text())["config"]["out"] == str(json_file)
+        assert sorted(os.listdir(tmp_path)) == ["r.csv", "r.json"]
 
     def test_lukasiewicz(self, capout):
         out = capout(
@@ -165,3 +184,55 @@ class TestGlobalBehavior:
 
     def test_version(self, capsys):
         assert run(["--version"]) == EXIT_OK
+
+    def test_unwritable_out_is_usage_error(self, capout, tmp_path):
+        capout(["enumerate", "-n", "2", "--out", str(tmp_path / "no" / "such.txt")],
+               expect=EXIT_USAGE)
+
+    def test_module_entry_point(self):
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(halinloop.__file__))}
+        argv = [sys.executable, "-m", "halinloop.cli"]
+        ok = subprocess.run(argv + ["enumerate", "-n", "3", "--count-only"],
+                            env=env, capture_output=True, text=True, timeout=120)
+        assert (ok.returncode, ok.stdout.strip()) == (EXIT_OK, "7")
+        bad = subprocess.run(argv + ["frobnicate"], env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert bad.returncode == EXIT_USAGE
+
+
+# one small valid and one bad argument list per subcommand; "{bad_csv}"
+# stands for a malformed distance-matrix file
+SWEEP_INPUTS = {
+    "enumerate": (["-n", "2"], ["-n", "0"]),
+    "build": (["--tree", "2 0 1 0"], ["--tree", "3 0 0 0"]),
+    "sample": (["-n", "5", "--seed", "1"], ["-n", "0"]),
+    "mu": (["--alpha", "1.5", "--kmax", "3"], ["--alpha", "2.5"]),
+    "bij": (["phi", "--tree", "2 0 1 0"], ["inv", "--marked", "nonsense"]),
+    "gh": (["lemma", "-n", "1"], ["exact", "--a", "{bad_csv}", "--b", "{bad_csv}"]),
+    "loop": (["--tree", "3 0 0 0"], ["--tree", "2 0"]),
+    "exp": (["scaling", "--sizes", "16,32", "--samples", "2", "--seed", "1"],
+            ["scaling", "--sizes", "0"]),
+    "render": (["tree", "--tree", "2 0 1 0"], ["halin", "--tree", "3 0 0 0"]),
+}
+
+
+def _format_choices() -> dict[str, list[str]]:
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: list(next(a.choices for a in sp._actions if a.dest == "format"))
+        for name, sp in sub.choices.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "command,fmt,which",
+    [(c, f, w) for c, fmts in _format_choices().items() for f in fmts for w in ("valid", "bad")],
+)
+def test_exit_code_contract_sweep(command, fmt, which, capsys, tmp_path):
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_text("0,1\n1\n")
+    inputs = SWEEP_INPUTS[command][which == "bad"]
+    args = [a.replace("{bad_csv}", str(bad_csv)) for a in inputs]
+    code = run([command] + args + ["--format", fmt])
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_INVARIANT, EXIT_BUDGET)
+    assert "Traceback" not in capsys.readouterr().err

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from halinloop.cli import EXIT_OK, run
 from halinloop.errors import SizeGuardError, UsageError
 from halinloop.experiments import (
     ScalingRunConfig,
@@ -69,10 +70,13 @@ class TestScalingRun:
         assert s["expected_slope"] == pytest.approx(1 / 1.5)
         assert s["height_decay_ratio"] > 0
 
-    def test_csv_written_atomically(self, tmp_path):
+    def test_csv_written_atomically(self, tmp_path, capsys):
+        # The CLI is the one writer of run files; it goes through atomic_write.
         out = str(tmp_path / "run.csv")
-        cfg = ScalingRunConfig(sizes=(16,), samples_per_size=3, seed=1, out=out)
-        res = scaling_run(cfg)
+        argv = ["exp", "scaling", "--sizes", "16", "--samples", "3", "--seed", "1"]
+        assert run(argv + ["--format", "csv", "--out", out]) == EXIT_OK
+        capsys.readouterr()
+        res = scaling_run(ScalingRunConfig(sizes=(16,), samples_per_size=3, seed=1))
         assert open(out).read() == rows_to_csv(res["rows"])
         assert not [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")]
 

@@ -1,8 +1,8 @@
 import pytest
 
-from halinloop.errors import InvariantError, UsageError
+from halinloop.errors import InvariantError
 from halinloop.halin import build_halin, enumerate_halin
-from halinloop.planar_map import PlanarMap, weak_dual
+from halinloop.planar_map import PlanarMap
 from halinloop.plane_tree import PlaneTree
 
 
@@ -60,40 +60,6 @@ class TestOrbitsAndEuler:
                 assert m.vertex_of[d] == vi
 
 
-class TestSurgery:
-    def test_delete_edge_merges_faces(self):
-        m = build_halin(PlaneTree((2, 0, 1, 0))).map
-        d, t = m.edges()[0]
-        m2 = m.delete_edge(d)
-        assert m2.n_edges == m.n_edges - 1
-        assert m2.n_faces == m.n_faces - 1  # distinct faces merged
-        m2.check_euler()
-
-    def test_contract_edge_merges_vertices(self):
-        m = build_halin(PlaneTree((2, 0, 1, 0))).map
-        # contract a tree edge (never a loop)
-        for d, t in m.edges():
-            if m.vertex_of[d] != m.vertex_of[t]:
-                m2 = m.contract_edge(d)
-                assert m2.n_vertices == m.n_vertices - 1
-                assert m2.n_edges == m.n_edges - 1
-                m2.check_euler()
-                break
-
-    def test_contract_loop_rejected(self):
-        m = smallest_map()
-        loop_dart = next(d for d, t in m.edges() if m.vertex_of[d] == m.vertex_of[t])
-        with pytest.raises(UsageError):
-            m.contract_edge(loop_dart)
-
-    def test_half_edge_is_protected(self):
-        m = smallest_map()
-        with pytest.raises(UsageError):
-            m.delete_edge(m.half_edge_dart)
-        with pytest.raises(UsageError):
-            m.contract_edge(m.half_edge_dart)
-
-
 class TestSerialization:
     def test_json_roundtrip(self):
         for n in range(1, 5):
@@ -114,29 +80,3 @@ class TestSerialization:
         plane = {H.canonical() for H in enumerate_halin(4)}
         assert len(plane) == 30
         assert len(sphere) == 28
-
-    def test_dot_output_mentions_all_vertices(self):
-        m = smallest_map()
-        dot = m.to_dot()
-        assert "v0" in dot and "v1" in dot and "graph" in dot
-
-
-class TestWeakDual:
-    def test_single_face_gives_single_dual_vertex(self):
-        H = build_halin(PlaneTree((1, 0)))
-        d = weak_dual(H.map, H.outer_face)
-        assert d.n_vertices == 1
-        assert d.n_edges == 0
-
-    def test_two_faces_give_three_parallel_edges(self):
-        # both n=2 maps: two bounded faces joined along three dual edges
-        for H in enumerate_halin(2):
-            d = weak_dual(H.map, H.outer_face)
-            assert d.n_vertices == 2
-            assert d.n_edges == 3
-
-    def test_dual_vertex_count_matches_bounded_faces(self):
-        for n in range(1, 6):
-            for H in enumerate_halin(n):
-                d = weak_dual(H.map, H.outer_face)
-                assert d.n_vertices == len(H.bounded_faces())

@@ -1,8 +1,13 @@
 import math
+from functools import cached_property
 
+import numpy as np
 import pytest
 
+from halinloop.bijection import phi, phi_inverse
 from halinloop.errors import InvariantError, SizeGuardError
+from halinloop.gw import mu_from_weights, sample_conditioned
+from halinloop.looptree import loop_diameter
 from halinloop.plane_tree import (
     LukasiewiczPath,
     MarkedTree,
@@ -33,11 +38,36 @@ class TestPlaneTree:
     def test_structure_of_hand_example(self):
         # root -> (a -> (leaf, leaf), leaf)
         t = PlaneTree((2, 2, 0, 0, 0))
-        assert t.parents() == [-1, 0, 1, 1, 0]
-        assert t.children() == [[1, 4], [2, 3], [], [], []]
-        assert t.depths() == [0, 1, 2, 2, 1]
+        assert t.parents() == (-1, 0, 1, 1, 0)
+        assert t.children() == ((1, 4), (2, 3), (), (), ())
+        assert t.depths() == (0, 1, 2, 2, 1)
         assert t.height() == 2
         assert t.leaf_count() == 3
+
+    def test_structure_is_derived_once_per_tree(self, monkeypatch):
+        t = PlaneTree((2, 2, 0, 0, 0))
+        assert t.children() is t.children()
+        assert isinstance(t.children(), tuple)
+        assert all(isinstance(c, tuple) for c in t.children())
+
+        derived = []  # keeps each tree alive, so ids stay distinct
+        parents = PlaneTree.__dict__["_parents"].func
+
+        def counting(self):
+            derived.append(self)
+            return parents(self)
+
+        prop = cached_property(counting)
+        prop.__set_name__(PlaneTree, "_parents")
+        monkeypatch.setattr(PlaneTree, "_parents", prop)
+        rng = np.random.default_rng(5)
+        shape = sample_conditioned(mu_from_weights(lambda k: 1.0), 40, rng)
+        marked = MarkedTree(shape, tuple(int(rng.integers(0, k + 1)) for k in shape.code))
+        H = phi_inverse(marked)
+        H.validate()
+        assert phi(H) == marked
+        loop_diameter(marked.shape)
+        assert len(derived) == len({id(t) for t in derived}) == 2
 
     @pytest.mark.parametrize(
         "code",
