@@ -294,7 +294,7 @@ def _load_metric(path: str):
 
     try:
         return FiniteMetricSpace(np.loadtxt(path, delimiter=",", ndmin=2))
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError, InvariantError) as e:
         raise UsageError(str(e)) from e
 
 

@@ -268,7 +268,7 @@ def check_lemma_bound(H: HalinMap, exact: bool | None = None, budget: int = 10**
         out["ok"] = g <= bound + 1e-9
         return out
 
-    hh, hl, R = canonical_correspondence(H)
+    hh, hl, R = _canonical_correspondence(H, marked)
     contract = Correspondence(tuple(enumerate(_leaf_contraction(H.tree)[1])))
     ident = Correspondence(tuple((i, i) for i in range(L.size)))
     out["upper"] = 0.5 * (
@@ -288,9 +288,17 @@ def canonical_correspondence(
     and the root-shifted looptree of its marked tree: each marked-tree
     vertex is matched with the internal map vertex carved out by its
     contour segment."""
-    from .bijection import phi, phi_inverse_with_cells
+    from .bijection import phi
 
-    marked = phi(H)
+    return _canonical_correspondence(H, phi(H))
+
+
+def _canonical_correspondence(
+    H: HalinMap, marked: MarkedTree
+) -> tuple[FiniteMetricSpace, FiniteMetricSpace, Correspondence]:
+    """``canonical_correspondence`` given the marked tree phi(H)."""
+    from .bijection import phi_inverse_with_cells
+
     H2, internal_of = phi_inverse_with_cells(marked)
     if H2.tree.code != H.tree.code:
         raise InvariantError("map does not round-trip through its marked tree")

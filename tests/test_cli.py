@@ -95,6 +95,15 @@ class TestGH:
         for action in ("exact", "bounds"):
             capout(["gh", action, "--a", str(a), "--b", str(a)], expect=EXIT_USAGE)
 
+    def test_non_metric_csv_is_usage_error(self, capout, tmp_path):
+        # well-formed numbers that are not a metric: asymmetric, then a
+        # triangle-inequality violation
+        for i, text in enumerate(("0,1\n2,0\n", "0,1,5\n1,0,1\n5,1,0\n")):
+            a = tmp_path / ("a%d.csv" % i)
+            a.write_text(text)
+            for action in ("exact", "bounds"):
+                capout(["gh", action, "--a", str(a), "--b", str(a)], expect=EXIT_USAGE)
+
 
 class TestSampleAndMu:
     def test_sample_deterministic_via_seed_flag(self, capout):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -32,6 +33,15 @@ class TestWeightsFamily:
         p = mu.table(3999)
         assert float(p.sum()) == pytest.approx(1.0, abs=1e-9)
         assert float((ks * p).sum()) == pytest.approx(1.0, abs=1e-9)
+
+    def test_solution_is_pinned(self):
+        # a, b and the mean, bit for bit, as the solver has always returned them
+        for w, a, b, mean in (
+            (lambda k: 1.0, 0.44444444444444425, 0.3333333333333335, 1.0000000000000002),
+            (lambda k: 1.0 / (k * k), 7.436914276426204, 0.47215596894208633, 0.9999999999999998),
+        ):
+            mu = mu_from_weights(w)
+            assert (mu.params["a"], mu.params["b"], mu.mean) == (a, b, mean)
 
     def test_subcritical_weights_rejected(self):
         # rapidly decaying support cannot reach mean one
@@ -175,3 +185,119 @@ class TestExactMasses:
             [counts[c] for c in codes], [reps * masses[c] for c in codes]
         )
         assert stat.pvalue > 0.01
+
+
+def _stack_split_counts(tables, n_items, total, rng):
+    """Reference: the depth-first split, one block and one uniform at a
+    time, left block before right."""
+    out = np.empty(n_items, dtype=np.int64)
+    pos = 0
+    stack = [(n_items, total)]
+    while stack:
+        m, s = stack.pop()
+        if m == 1:
+            out[pos] = s
+            pos += 1
+            continue
+        a, b = (m + 1) // 2, m // 2
+        pa, pb = tables.tables[a], tables.tables[b]
+        lo, hi = max(0, s - (len(pb) - 1)), min(s, len(pa) - 1)
+        w = pa[lo : hi + 1] * pb[s - hi : s - lo + 1][::-1]
+        cdf = np.cumsum(w)
+        sa = min(hi, lo + int(np.searchsorted(cdf, rng.random() * w.sum(), side="right")))
+        stack.append((b, s - sa))
+        stack.append((a, sa))
+    return out
+
+
+def _sum_law(p, m, n):
+    """P(k_1 + ... + k_m = s) for s < n, by direct convolution powers."""
+    out = np.zeros(n)
+    out[0] = 1.0
+    base = p
+    while m:
+        if m & 1:
+            out = np.convolve(out, base)[:n]
+        m >>= 1
+        if m:
+            base = np.convolve(base, base)[:n]
+    return out
+
+
+def _root_degree_law(mu, n):
+    """Exact P(k_root = k | |T| = n), k = 0..n-1 (Otter-Dwass):
+    n mu(k) k / (n-1) * P(S_{n-1} = n-1-k) / P(S_n = n-1)."""
+    p = mu.table(n - 1)
+    k = np.arange(n)
+    s_prev = _sum_law(p, n - 1, n)
+    s_n = _sum_law(p, n, n)
+    return n * p * k / (n - 1) * s_prev[n - 1 - k] / s_n[n - 1]
+
+
+_FAMILIES = {"stable1.5": lambda: stable_mu(1.5), "uniform": lambda: mu_from_weights(lambda k: 1.0)}
+
+
+class TestSplitSampler:
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    @pytest.mark.parametrize("n", [300, 1024, 4096])
+    def test_root_degree_matches_exact_law(self, family, n):
+        from scipy.stats import chisquare
+
+        mu = _FAMILIES[family]()
+        law = _root_degree_law(mu, n)
+        assert law.sum() == pytest.approx(1.0, abs=1e-9)
+        reps = 2000
+        rng = np.random.default_rng((n, 11))
+        roots = np.array([sample_conditioned(mu, n, rng).code[0] for _ in range(reps)])
+        # bins [edge_j, edge_{j+1}) over degrees, each expecting >= 5 draws
+        expected = reps * law
+        edges, acc = [0], 0.0
+        for k in range(n):
+            acc += expected[k]
+            if acc >= 5:
+                edges.append(k + 1)
+                acc = 0.0
+        edges[-1] = n
+        exp_b = np.add.reduceat(expected, edges[:-1])
+        obs_b = np.histogram(roots, bins=edges)[0]
+        assert exp_b.min() >= 5 and len(edges) > 3
+        assert chisquare(obs_b, exp_b * reps / exp_b.sum()).pvalue >= 1e-3
+
+    def test_stream_is_pinned(self):
+        # digests of the codes drawn by the split path; a change here
+        # means every seed now gives other trees
+        pins = (
+            (stable_mu(1.5), 300, 1, "e9c68c28ca203895c42cf2793de2c0d0e4c2ac4b654a75bd100062036f220a98"),
+            (stable_mu(1.5), 4096, 2, "1fba4535ce177a646c7480d1b9f19abbcb3505b64f9c2287c69390f75cb731fb"),
+            (
+                mu_from_weights(lambda k: 1.0),
+                1024,
+                3,
+                "34d1e3cbed0b8fb93577db841adda263cadc351f5f3c968e866eb32408fa12a0",
+            ),
+        )
+        for mu, n, seed, digest in pins:
+            code = sample_conditioned(mu, n, seed).code
+            assert hashlib.sha256(",".join(map(str, code)).encode()).hexdigest() == digest
+
+    def test_level_split_matches_depth_first_reference(self):
+        import halinloop.gw as gw
+
+        for family in sorted(_FAMILIES):
+            mu = _FAMILIES[family]()
+            for n in (2, 3, 7, 64, 257, 1000):
+                tables = gw._split_tables(mu, n)
+                for seed in range(5):
+                    r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
+                    got = tables.sample_counts(n, n - 1, r1)
+                    want = _stack_split_counts(tables, n, n - 1, r2)
+                    assert np.array_equal(got, want), (family, n, seed)
+                    assert r1.random() == r2.random()
+
+    def test_periodic_law(self):
+        mu = mu_from_weights(lambda k: 1.0 if k % 2 == 0 else 0.0)
+        tree = sample_conditioned(mu, 301, 0)
+        assert tree.zeta == 301
+        assert all(k % 2 == 0 for k in tree.code)
+        with pytest.raises(UsageError):
+            sample_conditioned(mu, 302, 0)

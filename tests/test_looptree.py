@@ -202,3 +202,22 @@ class TestLemmaBound:
         assert r["upper"] is not None and r["lower"] is not None
         assert r["lower"] <= r["upper"] + 1e-9
         assert r["ok"]
+
+    def test_bounds_mode_computes_phi_once(self, monkeypatch):
+        import halinloop.bijection as bijection
+
+        rng = np.random.default_rng(5)
+        shape = sample_conditioned(mu_from_weights(lambda k: 1.0), 10, rng)
+        marks = tuple(int(rng.integers(0, k + 1)) for k in shape.code)
+        H = phi_inverse(MarkedTree(shape, marks))
+        calls = {"phi": 0, "phi_inverse_with_cells": 0}
+        for name in calls:
+            real = getattr(bijection, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(bijection, name, counted)
+        assert check_lemma_bound(H, exact=False)["upper"] is not None
+        assert calls == {"phi": 1, "phi_inverse_with_cells": 1}
