@@ -356,7 +356,7 @@ def sample_conditioned(
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     ks = _conditioned_counts(mu, n, rng)
     code = cycle_rotation(ks)
-    return PlaneTree(tuple(int(k) for k in code))
+    return PlaneTree(tuple(code.tolist()))
 
 
 def exact_conditioned_masses(mu: OffspringDistribution, n: int) -> dict[tuple[int, ...], float]:

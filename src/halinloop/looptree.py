@@ -16,7 +16,6 @@ identification has distortion at most twice the tree height.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -85,10 +84,9 @@ class LoopGraph:
         on_path = np.nonzero((da + db == lb) & (da == mid_level))[0]
         root = int(on_path[0]) if on_path.size else a
         dr = self.distances_from([root])[0].astype(int)
-        levels: dict[int, list[int]] = {}
-        for v, lv in enumerate(dr):
-            levels.setdefault(int(lv), []).append(v)
-        for lv in sorted(levels, reverse=True):
+        # vertices grouped by level, ascending vertex id within a level
+        levels = np.split(np.argsort(dr, kind="stable"), np.cumsum(np.bincount(dr))[:-1])
+        for lv in range(len(levels) - 1, -1, -1):
             if 2 * lv <= lb:
                 break
             batch = levels[lv]
@@ -118,40 +116,102 @@ def loop(tree: PlaneTree) -> LoopGraph:
     return g
 
 
+def _range_max(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """max(values[lo[i]:hi[i]]) for every i; every range must be non-empty.
+
+    Sparse-table queries built one doubling at a time, so memory stays
+    linear: at level j, m[p] = max(values[p : p + 2**j]), and a range
+    whose length has floor(log2) = j is covered by two such windows.
+    """
+    level = (np.frexp(hi - lo)[1] - 1).astype(np.int8)
+    order = np.argsort(level, kind="stable")
+    bounds = np.searchsorted(level[order], np.arange(int(level.max()) + 2))
+    out = np.empty(lo.size, values.dtype)
+    m = values
+    for j in range(bounds.size - 1):
+        idx = order[bounds[j] : bounds[j + 1]]
+        out[idx] = np.maximum(m[lo[idx]], m[hi[idx] - (1 << j)])
+        if j + 2 < bounds.size:
+            m = np.maximum(m[: -(1 << j)], m[1 << j :])
+    return out
+
+
 def loop_diameter(tree: PlaneTree) -> int:
-    """Exact looptree diameter in linear time.
+    """Exact looptree diameter from the Lukasiewicz walk, on arrays.
 
     A looptree is a tree of cycles glued at vertices, so the farthest
     pair appears inside some cycle: it maximizes a_s + d + a_t over
     positions s, t at cyclic distance d on the cycle, where a_p is the
-    hanging height below position p.  Per cycle this is a sliding-
-    window maximum of (a_s - s) over the doubled position array.
+    hanging height below position p (position 0 is the cycle's owner,
+    with a_0 = 0).  Following the looptree coding by the Lukasiewicz
+    walk W (Curien-Kortchemski, *Random stable looptrees*, EJP 19,
+    2014), every quantity is read off W and the parent array:
+
+    - v's subtree is [v, tau_v), tau_v the first j > v with
+      W_j = W_v - 1, found for all v by one sort and one binary search;
+    - child j of p sits at position r_j = W_p + k_p - W_j on p's cycle
+      and is min(r_j, k_p + 1 - r_j) steps from p; a cumulative sum of
+      these steps over [v, tau_v) gives the loop depth D;
+    - the hanging height is max D[v:tau_v) - D_v;
+    - with the cycles laid end to end, the pair maximum splits into the
+      short way round, s in [t - floor(L/2), t - 1], and the long way
+      round, s <= t - ceil(L/2), each a range maximum per position t.
+
+    The three range maxima are sparse-table queries (Bender and
+    Farach-Colton, *The LCA problem revisited*, LATIN 2000), so the
+    whole computation is a fixed set of numpy passes plus O(log n)
+    doubling passes, with no Python loop over vertices or cycles.
     """
-    code = tree.code
-    ch = tree.children()
-    h = [0] * tree.zeta
-    best = 0
-    # postorder: children precede parents in any reversed preorder
-    for v in range(tree.zeta - 1, -1, -1):
-        k = code[v]
-        if k == 0:
-            continue
-        L = k + 1
-        a = [0] + [h[c] for c in ch[v]]
-        h[v] = max(min(i, L - i) + a[i] for i in range(1, L))
-        W = L // 2
-        dbl = a + a
-        window: deque[int] = deque()  # indices with decreasing a[s] - s
-        for t in range(1, 2 * L):
-            s = t - 1
-            val = dbl[s] - s
-            while window and dbl[window[-1]] - window[-1] <= val:
-                window.pop()
-            window.append(s)
-            while window[0] < t - W:
-                window.popleft()
-            best = max(best, dbl[t % L] + t + dbl[window[0]] - window[0])
-    return best
+    n = tree.zeta
+    if n == 1:
+        return 0
+    # int32 arrays, each deleted once used: peak memory matters at n = 2^20
+    i32 = np.int32
+    k = np.fromiter(tree.code, i32, n)
+    walk = np.zeros(n + 1, i32)
+    np.cumsum(k - 1, out=walk[1:])
+    # keys sort by (walk, index); v's query key, its own key minus n,
+    # lands on the first j > v one level down; key[0] is j = n
+    key = (walk + np.int64(1)) * (n + 1) + np.arange(n + 1)
+    key.sort()
+    tau = np.empty(n, i32)
+    tau[key[1:] % (n + 1)] = key[np.searchsorted(key, key[1:] - n)] % (n + 1)
+    del key
+    par = np.fromiter(tree.parents(), i32, n)[1:]
+    kp = k[par]
+    rank = walk[par] + kp - walk[1:n]
+    step = np.minimum(rank, kp + 1 - rank)
+    del kp, walk
+    # float64 sums of integers below 2^53 are exact
+    delta = np.bincount(tau[1:], weights=-step, minlength=n + 1)[:n]
+    delta[1:] += step
+    depth = np.cumsum(delta).astype(i32)
+    del delta, step
+    internal = np.flatnonzero(k).astype(i32)
+    hang = np.zeros(n, i32)
+    hang[internal] = _range_max(depth, internal, tau[internal]) - depth[internal]
+    del depth, tau
+    size = k[internal] + 1
+    start = np.zeros(n, i32)
+    start[internal] = np.cumsum(size, dtype=i32) - size
+    a = np.zeros(int(size.sum()), i32)
+    a[start[par] + rank] = hang[1:]
+    seg_start = np.repeat(start[internal], size)
+    seg_len = np.repeat(size, size)
+    del k, par, rank, hang, start, internal, size
+    pos = np.arange(a.size, dtype=i32)
+    x = a - pos
+    y = a + pos
+    del a
+    # short way round: a_s - s + a_t + t over s in [t - floor(L/2), t - 1]
+    t = np.flatnonzero(pos > seg_start).astype(i32)
+    lo = np.maximum(seg_start[t], t - seg_len[t] // 2)
+    best = int((_range_max(x, lo, t) + y[t]).max())
+    # long way round: a_s + s + a_t - t + L over s <= t - ceil(L/2)
+    half = (seg_len + 1) // 2
+    t = np.flatnonzero(pos - seg_start >= half).astype(i32)
+    hi = t - half[t] + 1
+    return max(best, int((_range_max(y, seg_start[t], hi) + x[t] + seg_len[t]).max()))
 
 
 def map_graph(m: PlanarMap) -> LoopGraph:

@@ -43,7 +43,7 @@ class PlaneTree:
     code: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "code", tuple(int(k) for k in self.code))
+        object.__setattr__(self, "code", tuple(map(int, self.code)))
         _check_code(self.code)
 
     @property

@@ -1,10 +1,14 @@
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from halinloop.bijection import phi, phi_inverse
 from halinloop.errors import SizeGuardError, UsageError
 from halinloop.gh_metric import distortion, gh_exact
-from halinloop.gw import mu_from_weights, sample_conditioned
+from halinloop.gw import cycle_rotation, mu_from_weights, sample_conditioned, stable_mu
 from halinloop.halin import build_halin, enumerate_halin
 from halinloop.looptree import (
     LoopGraph,
@@ -100,21 +104,98 @@ class TestDistances:
             assert g._ifub() == int(g.distances_from(np.arange(g.n)).max())
 
 
+def _loop_diameter_reference(tree):
+    """Reference: one cycle at a time in postorder, with a sliding-window
+    maximum of (a_s - s) over the doubled position array."""
+    code = tree.code
+    ch = tree.children()
+    h = [0] * tree.zeta
+    best = 0
+    for v in range(tree.zeta - 1, -1, -1):
+        k = code[v]
+        if k == 0:
+            continue
+        L = k + 1
+        a = [0] + [h[c] for c in ch[v]]
+        h[v] = max(min(i, L - i) + a[i] for i in range(1, L))
+        W = L // 2
+        dbl = a + a
+        window = deque()  # indices with decreasing a[s] - s
+        for t in range(1, 2 * L):
+            s = t - 1
+            val = dbl[s] - s
+            while window and dbl[window[-1]] - window[-1] <= val:
+                window.pop()
+            window.append(s)
+            while window[0] < t - W:
+                window.popleft()
+            best = max(best, dbl[t % L] + t + dbl[window[0]] - window[0])
+    return best
+
+
+def _bfs_diameter(tree):
+    g = loop(tree)
+    return 0 if g.n == 1 else int(g.distances_from(np.arange(g.n)).max())
+
+
+# adversarial codes with n vertices: extreme cycle lengths and depths
+_SHAPES = {
+    "path": lambda n: (1,) * (n - 1) + (0,),
+    "star": lambda n: (n - 1,) + (0,) * (n - 1),
+    # each spine vertex: a leaf, then the rest of the spine
+    "binary_comb": lambda n: (2, 0) * ((n - 2) // 2) + (1, 0),
+    # a path ending in a star
+    "broom": lambda n: (1,) * (n // 2) + (n - n // 2 - 1,) + (0,) * (n - n // 2 - 1),
+    # each spine vertex: leaf, spine, leaf
+    "caterpillar": lambda n: (3, 0) * ((n - 1) // 3) + (0,) * ((n - 1) // 3 + 1),
+}
+
+
+@st.composite
+def _trees(draw):
+    """A uniform-ish count list summing to n - 1, rotated into a tree."""
+    n = draw(st.integers(1, 60))
+    boxes = draw(st.lists(st.integers(0, n - 1), min_size=n - 1, max_size=n - 1))
+    counts = np.bincount(np.array(boxes, dtype=np.int64), minlength=n)
+    return PlaneTree(tuple(cycle_rotation(counts).tolist()))
+
+
 class TestLoopDiameter:
+    def test_matches_reference_exhaustive(self):
+        for n in range(1, 11):
+            for t in enumerate_trees(n):
+                assert loop_diameter(t) == _loop_diameter_reference(t)
+
+    @pytest.mark.parametrize("n", [300, 1000, 5000])
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9, None])  # None: uniform weights
+    def test_matches_reference_sampled(self, alpha, n):
+        mu = stable_mu(alpha) if alpha else mu_from_weights(lambda k: 1.0)
+        rng = np.random.default_rng([n, int(10 * (alpha or 0))])
+        for _ in range(5):
+            t = sample_conditioned(mu, n, rng)
+            assert loop_diameter(t) == _loop_diameter_reference(t)
+
+    @pytest.mark.parametrize("name", sorted(_SHAPES))
+    def test_adversarial_shapes(self, name):
+        t = PlaneTree(_SHAPES[name](4096))
+        assert t.zeta == 4096
+        assert loop_diameter(t) == _loop_diameter_reference(t) == loop(t).diameter()
+
+    @given(_trees())
+    def test_matches_bfs_property(self, t):
+        assert loop_diameter(t) == _bfs_diameter(t)
+
     def test_exhaustive_small(self):
         for n in range(1, 9):
             for t in enumerate_trees(n):
-                g = loop(t)
-                brute = 0 if g.n == 1 else int(g.distances_from(np.arange(g.n)).max())
-                assert loop_diameter(t) == brute
+                assert loop_diameter(t) == _bfs_diameter(t)
 
     def test_random_medium(self):
         mu = mu_from_weights(lambda k: 1.0)
         rng = np.random.default_rng(3)
         for _ in range(20):
             t = sample_conditioned(mu, int(rng.integers(5, 300)), rng)
-            g = loop(t)
-            assert loop_diameter(t) == int(g.distances_from(np.arange(g.n)).max())
+            assert loop_diameter(t) == _bfs_diameter(t)
 
 
 class TestContractedSpace:
