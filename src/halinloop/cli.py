@@ -111,8 +111,16 @@ def _jsonable(x):
     return x
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("HLL_SEED", "0"))
+def _seed(text: str) -> int:
+    """A seed as numpy takes it: a non-negative integer."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError("seed must be a non-negative integer, got %r" % text)
+    return int(text)
+
+
+def _default_seed() -> str:
+    # a string default goes through ``type``, so a bad HLL_SEED is a usage error
+    return os.environ.get("HLL_SEED", "0")
 
 
 def _resolved_config(args, keys: list[str]) -> dict:
@@ -151,14 +159,15 @@ def _mu(args):
 def _cmd_enumerate(args) -> dict:
     from .halin import enumerate_halin, halin_count
 
-    count = halin_count(args.n)
-    payload = {"n": args.n, "count": count, "config": _resolved_config(args, ["n", "count_only"])}
+    payload = {"n": args.n, "config": _resolved_config(args, ["n", "count_only", "force"])}
     if args.count_only:
-        payload["text"] = str(count)
+        payload["count"] = halin_count(args.n, force=args.force)
+        payload["text"] = str(payload["count"])
         return payload
     maps = [format_tree(H.tree) for H in enumerate_halin(args.n, force=args.force)]
+    payload["count"] = len(maps)
     payload["maps"] = maps
-    payload["text"] = "\n".join([str(count)] + maps)
+    payload["text"] = "\n".join([str(len(maps))] + maps)
     return payload
 
 
@@ -244,7 +253,7 @@ def _cmd_bij(args) -> dict:
             ok += H2.tree.code == H.tree.code and H2.map == H.map
         text = "%d/%d OK" % (ok, total)
         return {"ok": ok, "total": total, "text": text,
-                "config": _resolved_config(args, ["action", "n", "exhaustive"])}
+                "config": _resolved_config(args, ["action", "n", "exhaustive", "force"])}
     if args.action == "pushforward":
         rep = pushforward_distribution(args.n, lambda k: Fraction(1))
         text = "n=%d max discrepancy %s (%s)" % (
@@ -285,7 +294,7 @@ def _cmd_gh(args) -> dict:
             if not args.exhaustive:
                 break
         return {"reports": reports, "text": "\n".join(lines),
-                "config": _resolved_config(args, ["action", "n", "exhaustive"])}
+                "config": _resolved_config(args, ["action", "n", "exhaustive", "force"])}
     raise UsageError("unknown gh action %r" % args.action)
 
 
@@ -321,7 +330,10 @@ def _cmd_loop(args) -> dict:
 def _cmd_exp(args) -> dict:
     from .experiments import lukasiewicz_profile, scaling_run
 
-    sizes = tuple(int(s) for s in args.sizes.split(","))
+    try:
+        sizes = tuple(int(s) for s in args.sizes.split(","))
+    except ValueError as e:
+        raise UsageError("invalid --sizes: %s" % e) from e
     cfg = ScalingRunConfig(
         sizes=sizes,
         samples_per_size=args.samples,
@@ -391,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sample", help="sample size-conditioned trees or maps")
     sp.add_argument("-n", type=int, required=True)
     sp.add_argument("--samples", type=int, default=1)
-    sp.add_argument("--seed", type=int, default=_default_seed())
+    sp.add_argument("--seed", type=_seed, default=_default_seed())
     sp.add_argument("--alpha", type=float, default=None,
                     help="stable tail exponent; omit for the uniform-weight law")
     sp.add_argument("--as-map", action="store_true",
@@ -421,7 +433,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", help="CSV distance matrix")
     sp.add_argument("--b", help="CSV distance matrix")
     sp.add_argument("--budget", type=int, default=10**9)
-    sp.add_argument("--seed", type=int, default=_default_seed())
+    sp.add_argument("--seed", type=_seed, default=_default_seed())
     sp.add_argument("-n", type=int, default=1)
     sp.add_argument("--exhaustive", action="store_true")
     sp.add_argument("--force", action="store_true")
@@ -439,7 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=float, default=1.5)
     sp.add_argument("--sizes", default="1024,4096,16384")
     sp.add_argument("--samples", type=int, default=200)
-    sp.add_argument("--seed", type=int, default=_default_seed())
+    sp.add_argument("--seed", type=_seed, default=_default_seed())
     sp.add_argument("--map-diameter-max-n", type=int, default=10_000)
     common(sp, ("text", "json", "csv"))
     sp.set_defaults(func=_cmd_exp)

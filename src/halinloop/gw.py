@@ -181,6 +181,8 @@ def b_n(alpha: float, c: float, n: int) -> float:
     power-law family (constant slowly-varying part)."""
     if not 1.0 < alpha < 2.0:
         raise UsageError("alpha must lie in (1, 2)")
+    if n < 1:
+        raise UsageError("need n >= 1")
     g = abs(math.gamma(-alpha))
     return (n / (c * g)) ** (1.0 / alpha)
 

@@ -8,6 +8,13 @@ follows the first child.  The maps of interest are those whose tree
 satisfies the one-leaf-child rule: every internal vertex has exactly
 one leaf child.  Such a map with tree on 2n vertices has n internal
 vertices, n leaves and n bounded faces.
+
+Deleting the leaves of such a tree leaves a plane tree on its n
+internal vertices in which each vertex keeps the slot of its leaf among
+its children: one marked corner per vertex, the correspondence behind
+the paper's bijection with marked plane trees (arXiv:2104.13364).
+``hstar_trees`` runs it backwards, building each tree from a marked
+tree instead of filtering all plane trees on 2n vertices.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from typing import Callable, Iterator
 
 from .errors import InvariantError, SizeGuardError, UsageError
 from .planar_map import PlanarMap
-from .plane_tree import PlaneTree, enumerate_trees
+from .plane_tree import MarkedTree, PlaneTree, enumerate_marked
 
 HALIN_ENUM_GUARD = 10
 
@@ -38,9 +45,35 @@ def satisfies_hstar(tree: PlaneTree) -> bool:
     return True
 
 
+def _with_leaf_children(marked: MarkedTree) -> tuple[int, ...]:
+    """Code of the tree in which every vertex v of ``marked`` gets k_v + 1
+    children, a leaf in slot marks[v] and its own children in order
+    around it."""
+    code, marks, children = marked.shape.code, marked.marks, marked.shape.children()
+    out: list[int] = []
+
+    def emit(v: int) -> None:
+        out.append(code[v] + 1)
+        for j, c in enumerate(children[v]):
+            if j == marks[v]:
+                out.append(0)
+            emit(c)
+        if marks[v] == code[v]:
+            out.append(0)
+
+    emit(0)
+    return tuple(out)
+
+
 def hstar_trees(n: int, force: bool = False) -> Iterator[PlaneTree]:
     """Plane trees on 2n vertices with exactly one leaf child per
-    internal vertex, in lexicographic code order."""
+    internal vertex, in lexicographic code order.
+
+    Each one is built from a marked tree on n vertices by giving every
+    vertex a leaf child in its marked slot (arXiv:2104.13364); this is a
+    bijection, so the binom(3n-2, n-1)/n trees come out without a search
+    over the Catalan(2n-1) plane trees on 2n vertices.
+    """
     if n < 1:
         raise UsageError("need n >= 1")
     if n > HALIN_ENUM_GUARD and not force:
@@ -48,9 +81,8 @@ def hstar_trees(n: int, force: bool = False) -> Iterator[PlaneTree]:
             "enumeration of maps with %d internal vertices is too large; "
             "pass force to override" % n
         )
-    for tree in enumerate_trees(2 * n, force=True):
-        if tree.leaf_count() == n and satisfies_hstar(tree):
-            yield tree
+    for code in sorted(_with_leaf_children(mt) for mt in enumerate_marked(n, force=True)):
+        yield PlaneTree(code)
 
 
 @dataclass(frozen=True)

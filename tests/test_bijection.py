@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from halinloop.bijection import (
     phi,
@@ -10,9 +12,21 @@ from halinloop.bijection import (
     phi_with_faces,
     pushforward_distribution,
 )
-from halinloop.gw import mu_from_weights, sample_conditioned
-from halinloop.halin import enumerate_halin
-from halinloop.plane_tree import MarkedTree, enumerate_marked
+from halinloop.gw import cycle_rotation, mu_from_weights, sample_conditioned
+from halinloop.halin import enumerate_halin, satisfies_hstar
+from halinloop.plane_tree import MarkedTree, PlaneTree, enumerate_marked
+
+
+@st.composite
+def _marked_trees(draw):
+    """A count list summing to n - 1 rotated into a tree, then one mark
+    per vertex in [0, k_v]."""
+    n = draw(st.integers(1, 60))
+    boxes = draw(st.lists(st.integers(0, n - 1), min_size=n - 1, max_size=n - 1))
+    counts = np.bincount(np.array(boxes, dtype=np.int64), minlength=n)
+    tree = PlaneTree(tuple(cycle_rotation(counts).tolist()))
+    marks = draw(st.tuples(*(st.integers(0, k) for k in tree.code)))
+    return MarkedTree(tree, marks)
 
 
 class TestBijectivity:
@@ -50,6 +64,13 @@ class TestBijectivity:
                 H = phi_inverse(mt)
                 H.validate()
                 assert phi(H) == mt
+
+    @given(_marked_trees())
+    def test_roundtrip_property(self, mt):
+        H = phi_inverse(mt)
+        H.validate()
+        assert satisfies_hstar(H.tree)
+        assert phi(H) == mt
 
 
 class TestDegreeLaw:

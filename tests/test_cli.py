@@ -1,13 +1,19 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import halinloop
+from halinloop import halin
 from halinloop.cli import EXIT_BUDGET, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, _build_parser, run
 from halinloop.experiments import ScalingRunConfig, rows_to_csv, scaling_run
 
@@ -40,6 +46,14 @@ class TestEnumerate:
 
     def test_guard_is_usage_error(self, capout):
         capout(["enumerate", "-n", "99"], expect=EXIT_USAGE)
+
+    def test_force_overrides_guard(self, capout, monkeypatch):
+        monkeypatch.setattr(halin, "HALIN_ENUM_GUARD", 3)
+        capout(["enumerate", "-n", "4", "--count-only"], expect=EXIT_USAGE)
+        assert capout(["enumerate", "-n", "4", "--count-only", "--force"]).strip() == "30"
+        obj = json.loads(capout(["enumerate", "-n", "4", "--force", "--format", "json"]))
+        assert obj["count"] == len(obj["maps"]) == 30
+        assert obj["config"]["force"] is True
 
 
 class TestBijection:
@@ -127,6 +141,11 @@ class TestSampleAndMu:
 
     def test_impossible_size_is_usage_error(self, capout):
         capout(["sample", "-n", "0"], expect=EXIT_USAGE)
+
+    def test_bad_seed_is_usage_error(self, capout, monkeypatch):
+        capout(["sample", "-n", "4", "--seed", "-1"], expect=EXIT_USAGE)
+        monkeypatch.setenv("HLL_SEED", "x")
+        capout(["sample", "-n", "4"], expect=EXIT_USAGE)
 
 
 class TestLoopAndRender:
@@ -245,3 +264,75 @@ def test_exit_code_contract_sweep(command, fmt, which, capsys, tmp_path):
     code = run([command] + args + ["--format", fmt])
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_INVARIANT, EXIT_BUDGET)
     assert "Traceback" not in capsys.readouterr().err
+
+
+# -- argument fuzzing -------------------------------------------------------------
+
+_SUBPARSERS = next(
+    a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+).choices
+# tokens that are no valid value of anything, plus a few that parse as one
+# thing but mean another
+_JUNK = ["", "x", "-", "--", "-z", "--bogus", "nan", "1e3", ",", "1,", "2 0", "0:0"]
+# valid and invalid values of the free-text options, by option
+_VALUES = {
+    "tree": ["2 0 1 0", "1 0", "2 1 0 0", "3 0 0 0", "2 0"],
+    "marked": ["2:1 0:0 1:0 0:0", "1:0 0:0", "0:0", "1:2 0:0"],
+    "sizes": ["4,6", "5", "1,2", "0,3"],
+    "a": ["good.csv", "bad.csv", "missing.csv"],
+    "b": ["good.csv", "bad.csv", "missing.csv"],
+    "out": ["out.txt", "no/such/out.txt"],
+    "alpha": ["1.5", "1.2", "2", "nan"],
+}
+# exhaustive bounds-mode lemma checks take 4 s at n = 5 and 29 s at n = 6
+_INT_MAX = {("gh", "n"): 4}
+
+
+def _option_tokens(command: str, action: argparse.Action):
+    """Argument tokens for one parser action, or none when it is left out."""
+    if isinstance(action, argparse._HelpAction):
+        return st.just([])
+    flag = action.option_strings[:1]
+    if action.nargs == 0:
+        return st.sampled_from([[], flag])
+    if action.choices is not None:
+        values = st.sampled_from(list(action.choices))
+    elif action.dest in _VALUES:
+        values = st.sampled_from(_VALUES[action.dest])
+    else:  # the integer options
+        values = st.integers(-2, _INT_MAX.get((command, action.dest), 6)).map(str)
+    # every value option is given, so no slow default (such as exp's 200
+    # samples at n = 16384) is ever reached
+    return values.map(lambda v: flag + [v])
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_SUBPARSERS)))
+    actions = _SUBPARSERS[command]._actions
+    positional = [draw(_option_tokens(command, a)) for a in actions if not a.option_strings]
+    options = [draw(_option_tokens(command, a)) for a in actions if a.option_strings]
+    options = draw(st.permutations(options))
+    argv = [command] + [t for group in positional + options for t in group]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(_JUNK)))
+    return argv
+
+
+@given(_argvs())
+def test_fuzzed_arguments_keep_exit_code_contract(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "good.csv"), "w") as f:
+            f.write("0,1\n1,0\n")
+        with open(os.path.join(tmp, "bad.csv"), "w") as f:
+            f.write("0,1\n1\n")
+        out, err = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(tmp)  # relative paths and any --out file stay in tmp
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(argv)
+        finally:
+            os.chdir(cwd)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_INVARIANT, EXIT_BUDGET), argv
+    assert "Traceback" not in err.getvalue(), argv

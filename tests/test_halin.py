@@ -11,9 +11,17 @@ from halinloop.halin import (
     hstar_trees,
     satisfies_hstar,
 )
-from halinloop.plane_tree import PlaneTree
+from halinloop.plane_tree import PlaneTree, enumerate_trees
 
 COUNTS = {1: 1, 2: 2, 3: 7, 4: 30, 5: 143}
+
+
+def _hstar_reference(n):
+    """The one-leaf-child trees found by filtering every plane tree on 2n
+    vertices, in the order enumerate_trees yields them."""
+    for tree in enumerate_trees(2 * n, force=True):
+        if tree.leaf_count() == n and satisfies_hstar(tree):
+            yield tree
 
 
 class TestOneLeafChildRule:
@@ -33,6 +41,10 @@ class TestOneLeafChildRule:
             for t in hstar_trees(n):
                 assert t.zeta == 2 * n
                 assert t.leaf_count() == n
+
+    def test_hstar_trees_match_filter_in_order(self):
+        for n in range(1, 7):
+            assert [t.code for t in hstar_trees(n)] == [t.code for t in _hstar_reference(n)]
 
 
 class TestEnumeration:
