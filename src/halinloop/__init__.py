@@ -36,6 +36,7 @@ from .gw import (
     exact_conditioned_masses,
     mu_from_weights,
     sample_conditioned,
+    sample_conditioned_many,
     stable_mu,
 )
 from .halin import HalinMap, build_halin, enumerate_halin, halin_count, satisfies_hstar

@@ -188,20 +188,22 @@ def _cmd_build(args) -> dict:
 
 def _cmd_sample(args) -> dict:
     from .bijection import phi_inverse
-    from .gw import sample_conditioned
+    from .gw import sample_conditioned, sample_conditioned_many
 
     mu = _mu(args)
     rng = np.random.default_rng(args.seed)
-    trees = []
-    for _ in range(args.samples):
-        tree = sample_conditioned(mu, args.n, rng)
-        if args.as_map:
+    if args.as_map:
+        # the marks of a tree are drawn before the next tree, so these
+        # draws stay one at a time
+        trees = []
+        for _ in range(args.samples):
+            tree = sample_conditioned(mu, args.n, rng)
             marks = tuple(int(rng.integers(0, k + 1)) for k in tree.code)
             H = phi_inverse(MarkedTree(tree, marks))
             H.validate()
             trees.append(format_marked(MarkedTree(tree, marks)))
-        else:
-            trees.append(format_tree(tree))
+    else:
+        trees = [format_tree(t) for t in sample_conditioned_many(mu, args.n, args.samples, rng)]
     return {
         "samples": trees,
         "config": _resolved_config(args, ["n", "samples", "seed", "alpha", "as_map"]),

@@ -8,8 +8,16 @@ draws offspring counts (k_1, ..., k_n) i.i.d. from mu conditioned on
 summing to n-1 and applies the cycle lemma: exactly one cyclic
 rotation of the step sequence (k_i - 1) is a valid Lukasiewicz path.
 
-For n <= 256 the conditioning is plain vector rejection on the sum.
-Above that, the sum is split recursively (Devroye 2012): the n items
+For n <= 256 the conditioning is plain vector rejection on the sum: a
+draw takes blocks of max(64, 4n) rows of i.i.d. counts and keeps the
+first row of the first block whose row sums to n-1.
+sample_conditioned_many draws many trees in chunks of up to 2^18
+uniforms (one block at n = 256), never more blocks than trees still
+needed, so a chunk reads no uniform the one-at-a-time draws would not:
+it gives the same trees as repeated sample_conditioned calls and leaves
+the generator in the same state.
+
+Above n = 256 the sum is split recursively (Devroye 2012): the n items
 halve into blocks of ceil(m/2) and floor(m/2) items, and a block's
 total is shared between its halves by the exact conditional law, read
 from partial-sum tables P_m built once per (mu, n) by FFT convolution.
@@ -33,14 +41,14 @@ from math import gcd
 from typing import Callable
 
 import numpy as np
-from scipy.signal import fftconvolve
-from scipy.special import zeta as _zeta
 
 from .errors import UsageError
 from .plane_tree import PlaneTree
 
 _REJECTION_MAX_N = 256
 _REJECTION_MAX_TRIES = 10_000_000
+# uniforms drawn at once by the batched rejection: one block at n = 256
+_REJECTION_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -78,8 +86,10 @@ class OffspringDistribution:
     def validate(self) -> None:
         total = float(np.sum(self.table(100_000)))
         if self.alpha is not None:
+            from scipy.special import zeta
+
             # add the exact power-law tail beyond the probe window
-            total += self.tail_constant * float(_zeta(1 + self.alpha, 100_001))
+            total += self.tail_constant * float(zeta(1 + self.alpha, 100_001))
         if abs(total - 1.0) > 1e-12:
             raise UsageError("pmf does not sum to 1 (got %.15f)" % total)
         if not self.pmf(1) < 1:
@@ -160,8 +170,10 @@ def stable_mu(alpha: float) -> OffspringDistribution:
     """
     if not 1.0 < alpha < 2.0:
         raise UsageError("alpha must lie in (1, 2)")
-    za = float(_zeta(alpha, 1))
-    za1 = float(_zeta(1 + alpha, 1))
+    from scipy.special import zeta
+
+    za = float(zeta(alpha, 1))
+    za1 = float(zeta(1 + alpha, 1))
     c = 1.0 / za
     mu0 = 1.0 - za1 / za
 
@@ -212,6 +224,8 @@ class _SplitTables:
     [0, n-1], built by doubling with FFT convolutions."""
 
     def __init__(self, p: np.ndarray, n: int):
+        from scipy.signal import fftconvolve
+
         self.n = n
         self.tables: dict[int, np.ndarray] = {1: p}
         need = set()
@@ -285,7 +299,7 @@ class _SplitTables:
 class _SizeLaw:
     """What conditioning on n vertices needs from mu, built once per
     (mu, n): the head table, whether n is a possible size, and, on first
-    use, the split tables."""
+    use, its cdf or the split tables."""
 
     def __init__(self, mu: OffspringDistribution, n: int):
         self.n = n
@@ -293,6 +307,13 @@ class _SizeLaw:
         support = np.nonzero(self.p > 0)[0]
         g = int(np.gcd.reduce(support[support > 0])) if np.any(support > 0) else 0
         self.possible = bool(self.p[0] > 0 and g != 0 and (n - 1) % g == 0)
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """The cdf rng.choice(p=self.p) searches, so the rejection path
+        turns the same uniforms into the same counts."""
+        cdf = self.p.cumsum()
+        return cdf / cdf[-1]
 
     @cached_property
     def split(self) -> _SplitTables:
@@ -311,54 +332,79 @@ def _size_law(mu: OffspringDistribution, n: int) -> _SizeLaw:
     return _size_laws[key]
 
 
-def _split_tables(mu: OffspringDistribution, n: int) -> _SplitTables:
-    return _size_law(mu, n).split
+def _rejection_counts(law: _SizeLaw, count: int, rng: np.random.Generator):
+    """Yields arrays of rows (k_1..k_n), count rows in all, each row iid
+    ~ p given sum == n-1.
 
-
-def _conditioned_counts(
-    mu: OffspringDistribution, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    law = _size_law(mu, n)
-    if not law.possible:
-        raise UsageError("size %d is outside the support of the total progeny" % n)
-    if n <= _REJECTION_MAX_N:
-        support = np.arange(n)
-        batch = max(64, 4 * n)
-        tries = 0
-        while tries < _REJECTION_MAX_TRIES:
-            ks = rng.choice(support, size=(batch, n), p=law.p)
-            sums = ks.sum(axis=1)
-            hit = np.nonzero(sums == n - 1)[0]
-            if hit.size:
-                return ks[hit[0]]
-            tries += batch
-        raise UsageError("size appears to be outside the support of the total progeny")
-    return _split_tables(mu, n).sample_counts(n, n - 1, rng)
+    A draw takes blocks of max(64, 4n) rows and keeps the first row of
+    the first block with a hit.  A block yields at most one row, so
+    drawing min(rows still needed, chunk) blocks at once never reads
+    past the uniforms the draws would take one by one: the hit blocks
+    of a chunk are the next draws, in order, and the generator ends
+    where count single draws leave it.  A draw that sees
+    ceil(_REJECTION_MAX_TRIES / block rows) hitless blocks in a row
+    gives up.
+    """
+    n = law.n
+    batch = max(64, 4 * n)
+    max_blocks = -(-_REJECTION_MAX_TRIES // batch)
+    chunk = max(1, _REJECTION_CHUNK // (batch * n))
+    run = 0  # hitless blocks since the last hit
+    while count:
+        blocks = min(count, chunk)
+        ks = law.cdf.searchsorted(rng.random((blocks, batch, n)), side="right")
+        hit = ks.sum(axis=2) == n - 1
+        hit_blocks = np.nonzero(hit.any(axis=1))[0]
+        gaps = np.diff(hit_blocks, prepend=-1 - run) - 1
+        run = blocks - 1 - hit_blocks[-1] if hit_blocks.size else run + blocks
+        if max(gaps.max(initial=0), run) >= max_blocks:
+            raise UsageError("size appears to be outside the support of the total progeny")
+        count -= hit_blocks.size
+        yield ks[hit_blocks, hit[hit_blocks].argmax(axis=1)]
 
 
 def cycle_rotation(ks: np.ndarray) -> np.ndarray:
     """The unique cyclic rotation of the offspring sequence whose step
-    sequence (k_i - 1) is a valid Lukasiewicz path."""
-    steps = np.asarray(ks, dtype=np.int64) - 1
-    walk = np.cumsum(steps)
-    if walk[-1] != -1:
+    sequence (k_i - 1) is a valid Lukasiewicz path; a 2-D array is
+    rotated row by row."""
+    ks = np.asarray(ks)
+    walk = np.cumsum(np.asarray(ks, dtype=np.int64) - 1, axis=-1)
+    if np.any(walk[..., -1] != -1):
         raise UsageError("offspring counts do not sum to n - 1")
-    cut = int(np.argmin(walk)) + 1
-    return np.concatenate([ks[cut:], ks[:cut]])
+    cut = np.argmin(walk, axis=-1)[..., None] + 1
+    return np.take_along_axis(ks, (np.arange(ks.shape[-1]) + cut) % ks.shape[-1], axis=-1)
+
+
+def sample_conditioned_many(
+    mu: OffspringDistribution, n: int, count: int, seed: int | np.random.Generator | None = None
+) -> list[PlaneTree]:
+    """count trees with the branching-process law conditioned on n
+    vertices: the trees count calls of sample_conditioned would draw
+    from one generator, and that generator is left in the same state.
+    At n <= 256 the rejection draws run in chunks of blocks; above that
+    each tree is one pass of the split sampler."""
+    if n < 1:
+        raise UsageError("need n >= 1")
+    if count < 0:
+        raise UsageError("need count >= 0")
+    if n == 1:
+        return [PlaneTree((0,))] * count
+    law = _size_law(mu, n)
+    if not law.possible:
+        raise UsageError("size %d is outside the support of the total progeny" % n)
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    if n <= _REJECTION_MAX_N:
+        chunks = _rejection_counts(law, count, rng)
+    else:
+        chunks = (law.split.sample_counts(n, n - 1, rng)[None] for _ in range(count))
+    return [PlaneTree(tuple(code)) for ks in chunks for code in cycle_rotation(ks).tolist()]
 
 
 def sample_conditioned(
     mu: OffspringDistribution, n: int, seed: int | np.random.Generator | None = None
 ) -> PlaneTree:
     """One tree with the branching-process law conditioned on n vertices."""
-    if n < 1:
-        raise UsageError("need n >= 1")
-    if n == 1:
-        return PlaneTree((0,))
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    ks = _conditioned_counts(mu, n, rng)
-    code = cycle_rotation(ks)
-    return PlaneTree(tuple(code.tolist()))
+    return sample_conditioned_many(mu, n, 1, seed)[0]
 
 
 def exact_conditioned_masses(mu: OffspringDistribution, n: int) -> dict[tuple[int, ...], float]:

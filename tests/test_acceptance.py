@@ -25,6 +25,7 @@ from halinloop.gw import (
     exact_conditioned_masses,
     mu_from_weights,
     sample_conditioned,
+    sample_conditioned_many,
     stable_mu,
 )
 from halinloop.halin import enumerate_halin, halin_count
@@ -152,9 +153,8 @@ def _chi_square_pvalue(mu, seed, samples):
     shapes = sorted(exact)
     idx = {s: i for i, s in enumerate(shapes)}
     counts = np.zeros(len(shapes))
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        counts[idx[sample_conditioned(mu, 4, rng).code]] += 1
+    for tree in sample_conditioned_many(mu, 4, samples, np.random.default_rng(seed)):
+        counts[idx[tree.code]] += 1
     expected = samples * np.array([exact[s] for s in shapes])
     return stats.chisquare(counts, expected).pvalue
 

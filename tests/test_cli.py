@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -135,6 +136,22 @@ class TestSampleAndMu:
         out = capout(["sample", "-n", "6", "--samples", "1", "--seed", "0", "--as-map"])
         assert ":" in out  # marked-tree format
 
+    @pytest.mark.parametrize("argv, digest", [
+        (["-n", "4", "--samples", "2000", "--seed", "11"],
+         "1a886a0656ddeb0f22d789a235fb971729180ce48cecc99a3dfefb5d99393adb"),
+        (["-n", "4", "--samples", "2000", "--seed", "11", "--alpha", "1.5"],
+         "f52c0f73b31d4e4b6ce6dd78cff15daadde0a302e390b8f3cdf14a80add53752"),
+        (["-n", "300", "--samples", "3", "--seed", "11"],
+         "76cbbe2575e6f62581736348eaacbbc8f5b2a65718c2df0af8f7aee8c3585ab5"),
+        (["-n", "6", "--samples", "50", "--seed", "11", "--as-map"],
+         "96254b041a82c73e58c1534750b747a8014870af412fc5071c80dcf78bca93cc"),
+    ])
+    def test_sample_stream_is_pinned(self, capout, argv, digest):
+        # digests of the JSON samples; a change here means every seed now
+        # gives other trees
+        samples = json.loads(capout(["sample"] + argv + ["--format", "json"]))["samples"]
+        assert hashlib.sha256(json.dumps(samples).encode()).hexdigest() == digest
+
     def test_mu_table(self, capout):
         out = capout(["mu", "--alpha", "1.5", "--kmax", "2"])
         assert out.splitlines()[0].startswith("mu(0) =")
@@ -216,6 +233,18 @@ class TestGlobalBehavior:
     def test_unwritable_out_is_usage_error(self, capout, tmp_path):
         capout(["enumerate", "-n", "2", "--out", str(tmp_path / "no" / "such.txt")],
                expect=EXIT_USAGE)
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        # scipy.signal and scipy.special cost about a second to import;
+        # only the commands that use them load them
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(halinloop.__file__))}
+        code = "import sys, halinloop.cli; print(*sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        loaded = out.stdout.split()
+        assert "halinloop.cli" in loaded
+        assert "scipy.signal" not in loaded and "scipy.special" not in loaded
 
     def test_module_entry_point(self):
         env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(halinloop.__file__))}

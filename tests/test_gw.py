@@ -7,12 +7,14 @@ from scipy.special import zeta
 
 from halinloop.errors import UsageError
 from halinloop.gw import (
+    OffspringDistribution,
     b_n,
     b_n_of,
     cycle_rotation,
     exact_conditioned_masses,
     mu_from_weights,
     sample_conditioned,
+    sample_conditioned_many,
     stable_mu,
 )
 
@@ -131,7 +133,7 @@ class TestConditionedSampler:
         roots_rej = np.array(
             [sample_conditioned(mu, n, np.random.default_rng((2, i))).code[0] for i in range(reps)]
         )
-        tables = gw._split_tables(mu, n)
+        tables = gw._size_law(mu, n).split
         rng = np.random.default_rng(3)
         roots_split = np.array(
             [cycle_rotation(tables.sample_counts(n, n - 1, rng))[0] for i in range(reps)]
@@ -144,8 +146,32 @@ class TestConditionedSampler:
         mu = mu_from_weights(lambda k: 1.0 if k % 2 == 0 else 0.0)
         assert mu.params.get("periodic") == 2
         sample_conditioned(mu, 5, 0)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
         with pytest.raises(UsageError):
-            sample_conditioned(mu, 6, 0)
+            sample_conditioned(mu, 6, rng)
+        with pytest.raises(UsageError):
+            sample_conditioned_many(mu, 6, 10, rng)
+        assert rng.bit_generator.state == state  # raised before any uniform
+        assert sample_conditioned_many(mu, 5, 0, rng) == []
+        assert rng.bit_generator.state == state
+        with pytest.raises(UsageError):
+            sample_conditioned_many(mu, 5, -1, rng)
+
+    def test_rare_size_gives_up(self, monkeypatch):
+        import halinloop.gw as gw
+
+        # n = 4 needs three 1s among four draws: possible, but about one
+        # row in 2.5e17 hits, so every block is hitless
+        mu = OffspringDistribution(
+            name="rare", pmf_func=lambda k: {0: 1 - 1e-6, 1: 1e-6}.get(k, 0.0), mean=1e-6,
+            params={"eps": 1e-6},
+        )
+        monkeypatch.setattr(gw, "_REJECTION_MAX_TRIES", 1000)
+        with pytest.raises(UsageError):
+            sample_conditioned(mu, 4, 0)
+        with pytest.raises(UsageError):
+            sample_conditioned_many(mu, 4, 5, 0)
 
 
 class TestExactMasses:
@@ -178,9 +204,8 @@ class TestExactMasses:
         codes = sorted(masses)
         counts = {c: 0 for c in codes}
         reps = 4000
-        rng = np.random.default_rng(7)
-        for _ in range(reps):
-            counts[sample_conditioned(mu, 4, rng).code] += 1
+        for tree in sample_conditioned_many(mu, 4, reps, np.random.default_rng(7)):
+            counts[tree.code] += 1
         stat = chisquare(
             [counts[c] for c in codes], [reps * masses[c] for c in codes]
         )
@@ -237,6 +262,68 @@ def _root_degree_law(mu, n):
 _FAMILIES = {"stable1.5": lambda: stable_mu(1.5), "uniform": lambda: mu_from_weights(lambda k: 1.0)}
 
 
+def _reference_draws(mu, n, k, rng):
+    """Reference: k draws one at a time, as sample_conditioned made them
+    before batching (rejection on the sum with rng.choice, one block of
+    rows per try, at n <= 256; one split pass above), rotated one row at
+    a time.  Also returns the number of hitless blocks drawn."""
+    import halinloop.gw as gw
+
+    if n == 1:
+        return [(0,)] * k, 0
+    law = gw._size_law(mu, n)
+    codes, hitless = [], 0
+    for _ in range(k):
+        if n <= gw._REJECTION_MAX_N:
+            support = np.arange(n)
+            batch = max(64, 4 * n)
+            while True:
+                ks = rng.choice(support, size=(batch, n), p=law.p)
+                hit = np.nonzero(ks.sum(axis=1) == n - 1)[0]
+                if hit.size:
+                    ks = ks[hit[0]]
+                    break
+                hitless += 1
+        else:
+            ks = law.split.sample_counts(n, n - 1, rng)
+        cut = int(np.argmin(np.cumsum(ks - 1))) + 1
+        codes.append(tuple(np.concatenate([ks[cut:], ks[:cut]]).tolist()))
+    return codes, hitless
+
+
+def _chunks_spanned(n, chunks):
+    """A draw count whose batched draw spans at least this many chunks."""
+    import halinloop.gw as gw
+
+    if n > gw._REJECTION_MAX_N:
+        return chunks
+    batch = max(64, 4 * n)
+    return (chunks - 1) * max(1, gw._REJECTION_CHUNK // (batch * n)) + 1
+
+
+class TestBatchedSampler:
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 64, 256, 257, 300])
+    def test_same_stream_as_single_draws(self, family, n):
+        mu = _FAMILIES[family]()
+        k = _chunks_spanned(n, 3)
+        r1, r2 = np.random.default_rng((n, 5)), np.random.default_rng((n, 5))
+        want, _ = _reference_draws(mu, n, k, r1)
+        assert [t.code for t in sample_conditioned_many(mu, n, k, r2)] == want
+        assert r1.bit_generator.state == r2.bit_generator.state
+
+    @pytest.mark.parametrize("n", [7, 64, 256])
+    def test_same_stream_with_hitless_blocks(self, n):
+        # at alpha = 1.1 a quarter to a half of all blocks hold no hit
+        mu = stable_mu(1.1)
+        k = _chunks_spanned(n, 3)
+        r1, r2 = np.random.default_rng((n, 6)), np.random.default_rng((n, 6))
+        want, hitless = _reference_draws(mu, n, k, r1)
+        assert hitless > 0
+        assert [t.code for t in sample_conditioned_many(mu, n, k, r2)] == want
+        assert r1.bit_generator.state == r2.bit_generator.state
+
+
 class TestSplitSampler:
     @pytest.mark.parametrize("family", sorted(_FAMILIES))
     @pytest.mark.parametrize("n", [300, 1024, 4096])
@@ -286,7 +373,7 @@ class TestSplitSampler:
         for family in sorted(_FAMILIES):
             mu = _FAMILIES[family]()
             for n in (2, 3, 7, 64, 257, 1000):
-                tables = gw._split_tables(mu, n)
+                tables = gw._size_law(mu, n).split
                 for seed in range(5):
                     r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
                     got = tables.sample_counts(n, n - 1, r1)
