@@ -27,7 +27,6 @@ from .gh_metric import (
     distortion,
     gh_exact,
     gh_lower_bound,
-    gh_upper_bound_via,
 )
 from .gw import (
     OffspringDistribution,
@@ -51,14 +50,12 @@ from .looptree import (
     loop_diameter,
 )
 from .plane_tree import (
-    LukasiewiczPath,
     MarkedTree,
     PlaneTree,
     enumerate_marked,
     enumerate_trees,
     lukasiewicz,
     marked_count_formula,
-    tree_from_lukasiewicz,
 )
 from .planar_map import PlanarMap
 

@@ -225,10 +225,12 @@ def pushforward_distribution(n: int, w: Callable[[int], Fraction]) -> dict:
     offspring distribution mu(k) = a b^k (k+1) w(k+4) conditioned on
     total progeny n.  The conditioned law does not depend on a, b > 0,
     so unnormalized products are compared.  All arithmetic is exact.
+    Both enumerations keep their size guards, so n > 10 raises
+    SizeGuardError at once.
     """
     shape_mass: dict[tuple[int, ...], Fraction] = {}
     total = Fraction(0)
-    for H in enumerate_halin(n, force=True):
+    for H in enumerate_halin(n):
         t = phi(H)
         wt = Fraction(H.weight(lambda k: Fraction(w(k))))
         shape_mass[t.shape.code] = shape_mass.get(t.shape.code, Fraction(0)) + wt
@@ -239,7 +241,7 @@ def pushforward_distribution(n: int, w: Callable[[int], Fraction]) -> dict:
 
     gw_mass: dict[tuple[int, ...], Fraction] = {}
     gw_total = Fraction(0)
-    for tree in enumerate_trees(n, force=True):
+    for tree in enumerate_trees(n):
         mass = Fraction(1)
         for k in tree.code:
             mass *= (k + 1) * Fraction(w(k + 4))

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .errors import BudgetExceededError, InvariantError, UsageError
-from .experiments import ScalingRunConfig, atomic_write, render, rows_to_csv
+from .experiments import ScalingRunConfig, atomic_write, mark_uniformly, render, rows_to_csv
 from .plane_tree import (
     MarkedTree,
     PlaneTree,
@@ -179,15 +179,15 @@ def _cmd_build(args) -> dict:
     payload = {
         "tree": format_tree(H.tree),
         "map": H.map.to_json(),
-        "dot": render(H),
         "config": _resolved_config(args, ["tree"]),
     }
+    if args.format == "dot":
+        payload["dot"] = render(H)
     payload["text"] = json.dumps(payload["map"], sort_keys=True)
     return payload
 
 
 def _cmd_sample(args) -> dict:
-    from .bijection import phi_inverse
     from .gw import sample_conditioned, sample_conditioned_many
 
     mu = _mu(args)
@@ -195,13 +195,8 @@ def _cmd_sample(args) -> dict:
     if args.as_map:
         # the marks of a tree are drawn before the next tree, so these
         # draws stay one at a time
-        trees = []
-        for _ in range(args.samples):
-            tree = sample_conditioned(mu, args.n, rng)
-            marks = tuple(int(rng.integers(0, k + 1)) for k in tree.code)
-            H = phi_inverse(MarkedTree(tree, marks))
-            H.validate()
-            trees.append(format_marked(MarkedTree(tree, marks)))
+        trees = [format_marked(mark_uniformly(sample_conditioned(mu, args.n, rng), rng)[0])
+                 for _ in range(args.samples)]
     else:
         trees = [format_tree(t) for t in sample_conditioned_many(mu, args.n, args.samples, rng)]
     return {
@@ -318,9 +313,10 @@ def _cmd_loop(args) -> dict:
         "vertices": g.n,
         "edges": sorted(g.edges),
         "diameter": loop_diameter(tree),
-        "dot": render(g),
         "config": _resolved_config(args, ["tree"]),
     }
+    if args.format == "dot":
+        payload["dot"] = render(g)
     if args.distances:
         d = g.all_distances()
         payload["csv"] = "\n".join(",".join(str(int(x)) for x in row) for row in d) + "\n"

@@ -1,13 +1,17 @@
 """Scaling experiments for size-conditioned trees and their looptrees.
 
-``scaling_run`` samples conditioned trees over a grid of sizes and
+``scaling_run`` samples trees of the stable law with tail index alpha
+(``stable_mu``), conditioned on n vertices, over a grid of sizes and
 records height, looptree diameter and the largest offspring number,
 all alongside the normalization b_n = (n / (c |Gamma(-alpha)|))^(1/alpha).
-For moderate sizes the map built from a uniformly marked tree is paired
-with its looptree and the diameter gap is checked against twice the
-height plus three.  The summary reports the log-log regression slope
-of the median looptree diameter against n, which should sit near
-1/alpha, and the decay of the normalized height, which should vanish.
+Up to ``map_diameter_max_n`` vertices the map of a uniformly marked
+tree (``mark_uniformly``, shared with ``hll sample --as-map``) is
+paired with its looptree: its exact diameter (``LoopGraph.diameter``,
+iFUB) must lie within twice the height plus three of the looptree
+diameter, or the run raises InvariantError.  The summary reports the
+log-log regression slope of the median looptree diameter against n,
+which should sit near 1/alpha, and the decay of the normalized height,
+which should vanish.
 
 Determinism: every (size, sample) cell draws from its own seed derived
 from the run seed, so results are byte-identical regardless of
@@ -21,12 +25,12 @@ import io
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InvariantError, SizeGuardError, UsageError
-from .gw import OffspringDistribution, b_n_of, mu_from_weights, stable_mu
+from .gw import OffspringDistribution, b_n_of, stable_mu
 from .halin import HalinMap
 from .looptree import LoopGraph, loop_diameter, map_graph
 from .plane_tree import MarkedTree, PlaneTree, lukasiewicz
@@ -40,8 +44,7 @@ class ScalingRunConfig:
     sizes: tuple[int, ...]
     samples_per_size: int = 200
     seed: int = 0
-    alpha: float | None = 1.5
-    weights: Callable[[int], float] | None = None
+    alpha: float = 1.5
     map_diameter_max_n: int = _MAP_DIAMETER_MAX_N
 
     def __post_init__(self):
@@ -49,13 +52,8 @@ class ScalingRunConfig:
             raise UsageError("sizes must be positive")
         if self.samples_per_size < 1:
             raise UsageError("samples_per_size must be positive")
-        if self.weights is None and not (self.alpha and 1 < self.alpha < 2):
+        if not (self.alpha and 1 < self.alpha < 2):
             raise UsageError("alpha must lie in (1, 2)")
-
-    def offspring(self) -> OffspringDistribution:
-        if self.weights is not None:
-            return mu_from_weights(self.weights)
-        return stable_mu(self.alpha)
 
 
 def _cell_rng(seed: int, n: int, sample: int) -> tuple[int, np.random.Generator]:
@@ -66,7 +64,7 @@ def _cell_rng(seed: int, n: int, sample: int) -> tuple[int, np.random.Generator]
 def scaling_run(cfg: ScalingRunConfig) -> dict:
     """Run the experiment grid; returns rows, per-size medians and the
     regression summary."""
-    mu = cfg.offspring()
+    mu = stable_mu(cfg.alpha)
     rows: list[dict] = []
     for n in cfg.sizes:
         bn = b_n_of(mu, n)
@@ -97,13 +95,19 @@ def _sample_checked(mu: OffspringDistribution, n: int, rng: np.random.Generator)
     return tree
 
 
-def _paired_map_diameter(tree: PlaneTree, rng: np.random.Generator, row: dict) -> int:
+def mark_uniformly(tree: PlaneTree, rng: np.random.Generator) -> tuple[MarkedTree, HalinMap]:
+    """Uniform marks for tree, one draw from rng per vertex in order,
+    and the validated map the marked tree gives under phi_inverse."""
     from .bijection import phi_inverse
 
-    marks = tuple(int(rng.integers(0, k + 1)) for k in tree.code)
-    H = phi_inverse(MarkedTree(tree, marks))
+    marked = MarkedTree(tree, tuple(int(rng.integers(0, k + 1)) for k in tree.code))
+    H = phi_inverse(marked)
     H.validate()
-    diam = map_graph(H.map).diameter()
+    return marked, H
+
+
+def _paired_map_diameter(tree: PlaneTree, rng: np.random.Generator, row: dict) -> int:
+    diam = map_graph(mark_uniformly(tree, rng)[1].map).diameter()
     if abs(diam - row["diam_loop"]) > 2 * row["height"] + 3:
         raise InvariantError("map and looptree diameters differ beyond the bound")
     return diam
@@ -141,8 +145,7 @@ def _summarize(rows: list[dict], cfg: ScalingRunConfig) -> dict:
             if per_size[first]["median_height_over_b_n"]
             else 0.0
         )
-    if cfg.alpha:
-        out["expected_slope"] = 1.0 / cfg.alpha
+    out["expected_slope"] = 1.0 / cfg.alpha
     return out
 
 
@@ -152,7 +155,7 @@ def lukasiewicz_profile(cfg: ScalingRunConfig) -> dict:
     distances between consecutive sizes reported as a stability check."""
     from scipy.stats import ks_2samp
 
-    mu = cfg.offspring()
+    mu = stable_mu(cfg.alpha)
     stats: dict[int, dict[str, list[float]]] = {}
     for n in cfg.sizes:
         bn = b_n_of(mu, n)
@@ -160,11 +163,7 @@ def lukasiewicz_profile(cfg: ScalingRunConfig) -> dict:
         for sample in range(cfg.samples_per_size):
             _, rng = _cell_rng(cfg.seed, n, sample)
             tree = _sample_checked(mu, n, rng)
-            walk = lukasiewicz(tree).values
-            if walk[-1] != -1:
-                raise InvariantError("excursion must end at -1")
-            if min(walk[:-1]) < 0:
-                raise InvariantError("excursion must stay non-negative before the end")
+            walk = lukasiewicz(tree)
             acc["max_w"].append(max(walk) / bn)
             acc["max_jump"].append(max(tree.code) / bn)
             acc["pre_final"].append(walk[-2] / bn)
@@ -192,10 +191,8 @@ def lukasiewicz_profile(cfg: ScalingRunConfig) -> dict:
 # -- rendering ----------------------------------------------------------------
 
 
-def render(obj, fmt: str = "dot") -> str:
+def render(obj) -> str:
     """Deterministic DOT text for a tree, looptree or Halin map."""
-    if fmt != "dot":
-        raise UsageError("unsupported render format: %r" % fmt)
     if isinstance(obj, MarkedTree):
         obj = obj.shape
     if isinstance(obj, PlaneTree):
@@ -267,6 +264,5 @@ def _config_dict(cfg: ScalingRunConfig) -> dict:
         "samples_per_size": cfg.samples_per_size,
         "seed": cfg.seed,
         "alpha": cfg.alpha,
-        "weights": None if cfg.weights is None else "custom",
         "map_diameter_max_n": cfg.map_diameter_max_n,
     }

@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd
 from typing import Callable
 
 import numpy as np
@@ -70,18 +69,6 @@ class OffspringDistribution:
     def table(self, kmax: int) -> np.ndarray:
         """mu(0..kmax) as an array."""
         return np.array([self.pmf(k) for k in range(kmax + 1)], dtype=float)
-
-    def period(self, probe: int = 10_000) -> int:
-        """gcd of the support on k >= 1 (1 means aperiodic)."""
-        g = 0
-        for k in range(1, probe + 1):
-            if self.pmf(k) > 0:
-                g = gcd(g, k)
-                if g == 1:
-                    return 1
-        if g == 0:
-            raise UsageError("offspring distribution has no positive support")
-        return g
 
     def validate(self) -> None:
         total = float(np.sum(self.table(100_000)))
@@ -152,13 +139,9 @@ def mu_from_weights(
     def pmf(k: int, a=a, b=b) -> float:
         return a * b**k * (k + 1) * w(k + 4)
 
-    mu = OffspringDistribution(
+    return OffspringDistribution(
         name="weights", pmf_func=pmf, mean=m / s, params={"a": a, "b": b}
     )
-    period = mu.period()
-    if period != 1:
-        object.__setattr__(mu, "params", {**mu.params, "periodic": period})
-    return mu
 
 
 def stable_mu(alpha: float) -> OffspringDistribution:

@@ -21,57 +21,63 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvariantError, SizeGuardError
-from .gh_metric import Correspondence, FiniteMetricSpace, bfs_distances, sparse_graph
+from .errors import InvariantError, SizeGuardError, UsageError
+from .gh_metric import Correspondence, FiniteMetricSpace
 from .halin import HalinMap
 from .planar_map import PlanarMap
 from .plane_tree import MarkedTree, PlaneTree
 
-_ALL_PAIRS_GUARD = 512
 _MATRIX_GUARD = 4_096
 
 
 @dataclass(frozen=True)
 class LoopGraph:
+    """An undirected unit-length multigraph on vertices 0..n-1, and its
+    graph metric."""
+
     n: int
     edges: tuple[tuple[int, int], ...]
 
     @cached_property
     def _csr(self):
-        return sparse_graph(self.n, self.edges)
+        # symmetric adjacency; loops are dropped since they never
+        # shorten a path
+        from scipy import sparse
+
+        rows, cols = [], []
+        for a, b in self.edges:
+            if a != b:
+                rows += [a, b]
+                cols += [b, a]
+        return sparse.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(self.n, self.n)).tocsr()
 
     def distances_from(self, sources) -> np.ndarray:
         """BFS distances from each source; rows follow ``sources``."""
-        return np.atleast_2d(bfs_distances(self._csr, sources))
+        from scipy.sparse.csgraph import dijkstra
 
-    def graph_distance(self, u: int, v: int) -> int:
-        return int(self.distances_from([u])[0][v])
+        d = dijkstra(self._csr, unweighted=True, directed=False, indices=sources)
+        if np.any(np.isinf(d)):
+            raise UsageError("graph is disconnected")
+        return np.atleast_2d(d)
 
-    def all_distances(self, force: bool = False) -> np.ndarray:
-        if self.n > _MATRIX_GUARD and not force:
-            raise SizeGuardError(
-                "distance matrix for %d vertices; pass force to override" % self.n
-            )
+    def all_distances(self) -> np.ndarray:
+        if self.n > _MATRIX_GUARD:
+            raise SizeGuardError("distance matrix for %d vertices" % self.n)
         return self.distances_from(np.arange(self.n))
 
     def metric_space(self) -> FiniteMetricSpace:
         return FiniteMetricSpace(self.all_distances())
 
     def diameter(self) -> int:
-        """Exact diameter: all-pairs BFS up to a size cutoff, beyond it
-        a two-sweep lower bound refined level by level until certified."""
-        if self.n == 1:
-            return 0
-        if self.n <= _ALL_PAIRS_GUARD:
-            best = 0
-            chunk = max(1, (1 << 22) // self.n)
-            for s in range(0, self.n, chunk):
-                d = self.distances_from(np.arange(s, min(self.n, s + chunk)))
-                best = max(best, int(d.max()))
-            return best
-        return self._ifub()
+        """Exact diameter by iFUB (Crescenzi et al., *On computing the
+        diameter of real-world undirected graphs*, TCS 514, 2013).
 
-    def _ifub(self) -> int:
+        A double sweep gives a lower bound lb and a central root; the
+        vertices are then swept one BFS level at a time from the
+        deepest.  A pair farther apart than 2i has an end deeper than
+        level i, whose eccentricity is already in lb, so once 2i <= lb
+        lb is the diameter.  Raises UsageError on a disconnected graph.
+        """
         # double sweep: far vertex from an arbitrary start, then its
         # farthest partner; root the level structure between them
         d0 = self.distances_from([0])[0]
@@ -98,17 +104,21 @@ class LoopGraph:
         return lb
 
 
+def _cycle_edges(edges: list, hub: int, ring) -> None:
+    """Append the cycle hub, ring[0], ..., ring[-1], hub: the two hub
+    edges first, then consecutive ring members (a doubled edge when the
+    ring has one member)."""
+    edges.append((hub, ring[0]))
+    edges.append((hub, ring[-1]))
+    edges.extend(zip(ring, ring[1:]))
+
+
 def loop(tree: PlaneTree) -> LoopGraph:
     """Looptree: each sibling block forms a cycle through the parent."""
     edges: list[tuple[int, int]] = []
     for v, kids in enumerate(tree.children()):
-        k = len(kids)
-        if k == 0:
-            continue
-        edges.append((v, kids[0]))
-        edges.append((v, kids[-1]))
-        for i in range(k - 1):
-            edges.append((kids[i], kids[i + 1]))
+        if kids:
+            _cycle_edges(edges, v, kids)
     g = LoopGraph(tree.zeta, tuple(edges))
     expect = sum(k + 1 for k in tree.code if k >= 1)
     if len(g.edges) != expect:
@@ -224,8 +234,7 @@ def map_graph(m: PlanarMap) -> LoopGraph:
 def halin_metric(H: HalinMap) -> FiniteMetricSpace:
     """Graph metric of the map itself (tree plus boundary edges; the
     half-edge carries no length)."""
-    g = map_graph(H.map)
-    return FiniteMetricSpace.from_edges(g.n, g.edges)
+    return map_graph(H.map).metric_space()
 
 
 def _leaf_contraction(tree: PlaneTree) -> tuple[tuple[int, ...], list[int]]:
@@ -250,7 +259,7 @@ def hat_H(H: HalinMap) -> tuple[FiniteMetricSpace, tuple[int, ...]]:
         a, b = image[leaves[i]], image[leaves[(i + 1) % lam]]
         if a != b:
             edges.append((a, b))
-    return FiniteMetricSpace.from_edges(len(internal), edges), internal
+    return LoopGraph(len(internal), tuple(edges)).metric_space(), internal
 
 
 def hat_L(marked: MarkedTree) -> FiniteMetricSpace:
@@ -259,41 +268,20 @@ def hat_L(marked: MarkedTree) -> FiniteMetricSpace:
 
 
 def hat_L_graph(marked: MarkedTree) -> tuple[tuple[int, int], ...]:
-    T = marked.shape
-    code = T.code
-    ch = T.children()
-    m0 = marked.marks[0]
-    delta = code[0]
+    ch = marked.shape.children()
+    u = ch[0]
     edges: list[tuple[int, int]] = []
-    u_last = ch[0][-1] if delta else None
     for v, kids in enumerate(ch):
-        k = len(kids)
-        if k == 0 or v == 0:
-            continue
-        src = 0 if v == u_last else v
-        edges.append((src, kids[0]))
-        edges.append((src, kids[-1]))
-        for i in range(k - 1):
-            edges.append((kids[i], kids[i + 1]))
-    if delta:
-        u = ch[0]
-        s = min(m0 + 1, delta)
-        w = []
-        for i in range(1, delta + 1):
-            if i < s:
-                w.append(u[i - 1])
-            elif i == s:
-                w.append(u[delta - 1])
-            else:
-                w.append(u[i - 2])
-        edges.append((0, w[0]))
-        edges.append((0, w[-1]))
-        for i in range(delta - 1):
-            edges.append((w[i], w[i + 1]))
+        if kids and v:
+            _cycle_edges(edges, 0 if u and v == u[-1] else v, kids)
+    if u:
+        # the last root subtree moves into slot s, the ones after it shift on
+        s = min(marked.marks[0] + 1, len(u))
+        _cycle_edges(edges, 0, u[: s - 1] + (u[-1],) + u[s - 1 : -1])
     return tuple(edges)
 
 
-def check_lemma_bound(H: HalinMap, exact: bool | None = None, budget: int = 10**8) -> dict:
+def check_lemma_bound(H: HalinMap, exact: bool | None = None) -> dict:
     """Compare the map metric against the looptree of its marked tree.
 
     The target bound is height + 3/2.  In exact mode (the default for
@@ -323,7 +311,7 @@ def check_lemma_bound(H: HalinMap, exact: bool | None = None, budget: int = 10**
         "ok": None,
     }
     if exact:
-        g = gh_exact(Hs, L, budget=budget)
+        g = gh_exact(Hs, L, budget=10**8)
         out["gh"] = g
         out["ok"] = g <= bound + 1e-9
         return out

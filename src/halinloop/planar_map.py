@@ -117,14 +117,8 @@ class PlanarMap:
     def face_degrees(self) -> list[int]:
         return [len(f) for f in self.faces]
 
-    def vertex_degree(self, v: int) -> int:
-        return len(self.vertices[v])
-
-    def euler_ok(self) -> bool:
-        return self.n_vertices - self.n_edges + self.n_faces == 2
-
     def check_euler(self) -> None:
-        if not self.euler_ok():
+        if self.n_vertices - self.n_edges + self.n_faces != 2:
             raise InvariantError(
                 "Euler formula violated: V=%d E=%d F=%d"
                 % (self.n_vertices, self.n_edges, self.n_faces)
@@ -184,16 +178,6 @@ class PlanarMap:
                 "root_dart": self.root_dart,
                 "half_edge_dart": self.half_edge_dart,
             }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "PlanarMap":
-        obj = json.loads(text)
-        return PlanarMap(
-            tuple(obj["twin"]),
-            tuple(obj["next"]),
-            obj["root_dart"],
-            obj.get("half_edge_dart"),
         )
 
 

@@ -120,36 +120,10 @@ class MarkedTree:
         return format_marked(self)
 
 
-@dataclass(frozen=True)
-class LukasiewiczPath:
-    """Partial-sum walk of (child count - 1): starts at 0, stays
-    non-negative before the final step, ends at -1."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-        v = self.values
-        if len(v) < 2 or v[0] != 0 or v[-1] != -1:
-            raise InvariantError("path must run from 0 to -1")
-        for i in range(len(v) - 1):
-            if v[i + 1] - v[i] < -1:
-                raise InvariantError("downward steps are limited to -1")
-            if v[i] < 0 and i < len(v) - 1:
-                raise InvariantError("path is negative before its last step")
-
-
-def lukasiewicz(tree: PlaneTree) -> LukasiewiczPath:
-    vals = [0]
-    for k in tree.code:
-        vals.append(vals[-1] + k - 1)
-    return LukasiewiczPath(tuple(vals))
-
-
-def tree_from_lukasiewicz(path: LukasiewiczPath) -> PlaneTree:
-    vals = path.values
-    code = tuple(vals[i + 1] - vals[i] + 1 for i in range(len(vals) - 1))
-    return PlaneTree(code)
+def lukasiewicz(tree: PlaneTree) -> tuple[int, ...]:
+    """The Lukasiewicz walk: partial sums of (child count - 1) from 0;
+    it stays non-negative until its last step, to -1."""
+    return (0, *itertools.accumulate(k - 1 for k in tree.code))
 
 
 def enumerate_trees(n: int, force: bool = False):

@@ -191,7 +191,7 @@ def test_criterion_8_invariant_sweep():
         violations = []
 
         def sweep_tree(tree):
-            walk = lukasiewicz(tree).values
+            walk = lukasiewicz(tree)
             if walk[0] != 0 or walk[-1] != -1:
                 violations.append(("lukasiewicz-endpoints", tree.code))
             if min(walk[:-1]) < 0:
@@ -205,7 +205,7 @@ def test_criterion_8_invariant_sweep():
                 violations.append(("map-invariant", str(exc)))
             boundary = {m.vertex_of[d] for d in m.faces[H.outer_face]}
             for v in boundary:
-                if m.vertex_degree(v) != 3:
+                if len(m.vertices[v]) != 3:
                     violations.append(("boundary-degree", (H.tree.code, v)))
 
         for z in range(1, 9):

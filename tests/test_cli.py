@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -69,6 +70,11 @@ class TestBijection:
 
     def test_pushforward(self, capout):
         assert "exact match" in capout(["bij", "pushforward", "-n", "3"])
+
+    def test_pushforward_keeps_enumeration_guard(self, capout):
+        t0 = time.monotonic()
+        capout(["bij", "pushforward", "-n", "11"], expect=EXIT_USAGE)
+        assert time.monotonic() - t0 < 1.0
 
     def test_bad_marked_tree_is_usage_error(self, capout):
         capout(["bij", "inv", "--marked", "nonsense"], expect=EXIT_USAGE)
@@ -152,6 +158,25 @@ class TestSampleAndMu:
         samples = json.loads(capout(["sample"] + argv + ["--format", "json"]))["samples"]
         assert hashlib.sha256(json.dumps(samples).encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("argv, digest", [
+        (["sample", "-n", "6", "--samples", "50", "--as-map"],
+         "cab0d5f071bf1b9ccf887e374693f31f4c657a6b93eb9faf963d3d1a2f73a29c"),
+        (["exp", "lukasiewicz", "--sizes", "64,128", "--samples", "20", "--seed", "3",
+          "--format", "json"],
+         "e939a60031d7cbdc96ce174b57b8da42b9e9c0d10264bbd1b8868667414aa02e"),
+        (["exp", "scaling", "--sizes", "1024,4096,65536", "--samples", "5", "--seed", "42",
+          "--format", "csv"],
+         "71c564188dc7b1a2defb7b00f039b624187b52b1ea8984939ba47d5aebfa0789"),
+        (["exp", "scaling", "--sizes", "64,256,1024", "--samples", "5", "--seed", "42",
+          "--format", "json"],
+         "0aceb091889936a913072ef89e0a80f2a382dda433d2623fcde5db535b3c684d"),
+    ])
+    def test_stdout_is_pinned(self, capout, monkeypatch, argv, digest):
+        # sha256 of the whole stdout; the JSON digests are of the output
+        # before config.weights was dropped, re-dumped without that key
+        monkeypatch.delenv("HLL_SEED", raising=False)
+        assert hashlib.sha256(capout(argv).encode()).hexdigest() == digest
+
     def test_mu_table(self, capout):
         out = capout(["mu", "--alpha", "1.5", "--kmax", "2"])
         assert out.splitlines()[0].startswith("mu(0) =")
@@ -181,6 +206,17 @@ class TestLoopAndRender:
 
     def test_bad_tree_is_usage_error(self, capout):
         capout(["loop", "--tree", "2 0"], expect=EXIT_USAGE)
+
+    @pytest.mark.parametrize("argv, code", [
+        (["loop"], (6000,) + (0,) * 6000),  # a star: one 6001-cycle
+        (["build"], (2, 0) * 2999 + (1, 0)),  # a one-leaf-child comb
+    ])
+    def test_large_tree_renders_dot_only_on_request(self, capout, capsys, argv, code):
+        argv = argv + ["--tree", " ".join(map(str, code))]
+        capout(argv)
+        assert "dot" not in json.loads(capout(argv + ["--format", "json"]))
+        assert run(argv + ["--format", "dot"]) == EXIT_USAGE
+        assert "too large to render" in capsys.readouterr().err
 
     def test_format_without_such_form_is_usage_error(self, capout):
         capout(["loop", "--tree", "3 0 0 0", "--format", "csv"], expect=EXIT_USAGE)

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from halinloop.cli import EXIT_OK, run
+from halinloop.cli import EXIT_OK, EXIT_USAGE, run
 from halinloop.errors import SizeGuardError, UsageError
 from halinloop.experiments import (
     ScalingRunConfig,
@@ -28,9 +28,11 @@ class TestConfig:
         with pytest.raises(UsageError):
             ScalingRunConfig(sizes=(10,), alpha=2.5)
 
-    def test_weights_override_alpha(self):
-        cfg = ScalingRunConfig(sizes=(10,), alpha=None, weights=lambda k: 1.0)
-        assert cfg.offspring().name == "weights"
+    def test_config_echo_has_no_weights(self):
+        # the offspring law is always stable_mu(alpha)
+        res = scaling_run(ScalingRunConfig(sizes=(8,), samples_per_size=1, seed=0))
+        assert sorted(res["config"]) == [
+            "alpha", "map_diameter_max_n", "samples_per_size", "seed", "sizes"]
 
 
 class TestScalingRun:
@@ -120,8 +122,10 @@ class TestRender:
             render(big)
 
     def test_unknown_format_rejected(self):
+        # DOT is the only render format; the CLI refuses any other
+        assert run(["render", "tree", "--tree", "0", "--format", "svg"]) == EXIT_USAGE
         with pytest.raises(UsageError):
-            render(PlaneTree((0,)), fmt="svg")
+            render(object())
 
 
 class TestAtomicWrite:

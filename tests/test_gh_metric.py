@@ -8,8 +8,8 @@ from halinloop.gh_metric import (
     distortion,
     gh_exact,
     gh_lower_bound,
-    gh_upper_bound_via,
 )
+from halinloop.looptree import LoopGraph
 
 
 def cycle_space(n: int) -> FiniteMetricSpace:
@@ -42,13 +42,13 @@ class TestMetricValidation:
         with pytest.raises(InvariantError):
             FiniteMetricSpace(d)
 
-    def test_from_edges_is_graph_metric(self):
-        s = FiniteMetricSpace.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    def test_graph_metric_of_edges(self):
+        s = LoopGraph(4, ((0, 1), (1, 2), (2, 3), (3, 0))).metric_space()
         assert np.array_equal(s.dist, cycle_space(4).dist)
 
-    def test_from_edges_disconnected(self):
+    def test_disconnected_graph_has_no_metric(self):
         with pytest.raises(UsageError):
-            FiniteMetricSpace.from_edges(3, [(0, 1)])
+            LoopGraph(3, ((0, 1),)).metric_space()
 
 
 class TestCorrespondence:
@@ -56,7 +56,7 @@ class TestCorrespondence:
         s = cycle_space(5)
         r = Correspondence(tuple((i, i) for i in range(5)))
         assert distortion(r, s, s) == 0
-        assert gh_upper_bound_via(r, s, s) == 0
+        assert 0.5 * distortion(r, s, s) == 0
 
     def test_forced_pair_distortion(self):
         r = Correspondence(((0, 0), (0, 1)))
@@ -89,12 +89,8 @@ class TestExactGH:
         rng = np.random.default_rng(0)
         for _ in range(10):
             nx, ny = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-            x = FiniteMetricSpace.from_edges(
-                nx, [(i, i + 1) for i in range(nx - 1)]
-            )
-            y = FiniteMetricSpace.from_edges(
-                ny, [(i, i + 1) for i in range(ny - 1)]
-            )
+            x = LoopGraph(nx, tuple((i, i + 1) for i in range(nx - 1))).metric_space()
+            y = LoopGraph(ny, tuple((i, i + 1) for i in range(ny - 1))).metric_space()
             assert gh_exact(x, y) >= 0.5 * abs(x.diameter - y.diameter) - 1e-12
 
     def test_triangle_inequality_spot_check(self):
@@ -119,7 +115,7 @@ class TestBounds:
         s = cycle_space(6)
         assert gh_lower_bound(s, s) == 0
         ident = Correspondence(tuple((i, i) for i in range(6)))
-        assert gh_upper_bound_via(ident, s, s) == 0
+        assert 0.5 * distortion(ident, s, s) == 0
 
     def test_c4_vs_c6(self):
         lb = gh_lower_bound(cycle_space(4), cycle_space(6))

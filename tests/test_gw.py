@@ -144,7 +144,6 @@ class TestConditionedSampler:
 
     def test_impossible_sizes_rejected(self):
         mu = mu_from_weights(lambda k: 1.0 if k % 2 == 0 else 0.0)
-        assert mu.params.get("periodic") == 2
         sample_conditioned(mu, 5, 0)
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state

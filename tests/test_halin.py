@@ -83,7 +83,7 @@ class TestStructure:
         for n in range(1, 6):
             for H in enumerate_halin(n):
                 for leaf in H.tree.leaves():
-                    assert H.map.vertex_degree(leaf) == 3
+                    assert len(H.map.vertices[leaf]) == 3
 
     def test_face_degrees_smallest_maps(self):
         H1 = build_halin(PlaneTree((1, 0)))

@@ -19,6 +19,7 @@ from halinloop.looptree import (
     hat_L,
     loop,
     loop_diameter,
+    map_graph,
 )
 from halinloop.plane_tree import MarkedTree, PlaneTree, enumerate_marked, enumerate_trees
 
@@ -33,12 +34,12 @@ class TestLoopConstruction:
         g = loop(PlaneTree((3, 0, 0, 0)))
         assert g.n == 4
         assert len(g.edges) == 4
-        assert g.graph_distance(0, 2) == 2  # across the 4-cycle
+        assert g.distances_from([0])[0][2] == 2  # across the 4-cycle
 
     def test_unary_path_gives_double_edges(self):
         g = loop(PlaneTree((1, 1, 0)))
         assert sorted(g.edges) == [(0, 1), (0, 1), (1, 2), (1, 2)]
-        assert g.graph_distance(0, 2) == 2
+        assert g.distances_from([0])[0][2] == 2
 
     def test_edge_count_formula(self):
         for n in range(1, 9):
@@ -89,6 +90,8 @@ class TestDistances:
         g = LoopGraph(3, ((0, 1),))
         with pytest.raises(UsageError):
             g.all_distances()
+        with pytest.raises(UsageError):
+            g.diameter()
 
     def test_matrix_size_guard(self):
         g = LoopGraph(5000, tuple((i, i + 1) for i in range(4999)))
@@ -101,7 +104,48 @@ class TestDistances:
         for _ in range(10):
             t = sample_conditioned(mu, int(rng.integers(10, 200)), rng)
             g = loop(t)
-            assert g._ifub() == int(g.distances_from(np.arange(g.n)).max())
+            assert g.diameter() == _all_pairs_diameter(g)
+
+    @pytest.mark.parametrize("n, edges, diam", [
+        (1, (), 0),
+        (2, ((0, 1),), 1),
+        (2, ((0, 1), (1, 0), (0, 1)), 1),  # a tripled edge
+        (3, ((0, 1), (1, 2)), 2),
+        (3, ((1, 0), (1, 2), (2, 0)), 1),
+        (3, ((0, 1), (0, 1), (1, 2), (1, 2), (2, 2)), 2),  # doubled edges and a loop
+        (4, ((0, 1), (0, 1), (1, 2), (2, 3), (2, 3)), 3),
+    ])
+    def test_small_graphs_and_multi_edges(self, n, edges, diam):
+        g = LoopGraph(n, edges)
+        assert g.diameter() == _all_pairs_diameter(g) == diam
+
+    def test_every_small_map_and_looptree(self):
+        for n in range(1, 6):
+            for H in enumerate_halin(n):
+                for g in (map_graph(H.map), loop(phi(H).shape)):
+                    assert g.diameter() == _all_pairs_diameter(g)
+
+    @pytest.mark.parametrize("n", [32, 64, 256])
+    def test_sampled_maps(self, n):
+        # the sizes that used to take an all-pairs branch (up to 512 vertices)
+        mu = mu_from_weights(lambda k: 1.0)
+        rng = np.random.default_rng([6, n])
+        for _ in range(5):
+            shape = sample_conditioned(mu, n, rng)
+            marks = tuple(int(rng.integers(0, k + 1)) for k in shape.code)
+            H = phi_inverse(MarkedTree(shape, marks))
+            for g in (map_graph(H.map), loop(shape)):
+                assert g.diameter() == _all_pairs_diameter(g)
+
+
+def _all_pairs_diameter(g):
+    """Reference: the largest BFS distance over all sources, in chunks
+    of at most 2^22 distances."""
+    best = 0
+    chunk = max(1, (1 << 22) // g.n)
+    for s in range(0, g.n, chunk):
+        best = max(best, int(g.distances_from(np.arange(s, min(g.n, s + chunk))).max()))
+    return best
 
 
 def _loop_diameter_reference(tree):
@@ -134,8 +178,7 @@ def _loop_diameter_reference(tree):
 
 
 def _bfs_diameter(tree):
-    g = loop(tree)
-    return 0 if g.n == 1 else int(g.distances_from(np.arange(g.n)).max())
+    return _all_pairs_diameter(loop(tree))
 
 
 # adversarial codes with n vertices: extreme cycle lengths and depths
@@ -302,3 +345,14 @@ class TestLemmaBound:
             monkeypatch.setattr(bijection, name, counted)
         assert check_lemma_bound(H, exact=False)["upper"] is not None
         assert calls == {"phi": 1, "phi_inverse_with_cells": 1}
+
+    @pytest.mark.parametrize("n, lower, upper", [(10, 0.5, 2.5), (20, 1.5, 5.5)])
+    def test_bounds_are_pinned(self, n, lower, upper):
+        # the benchmark's bounds-mode maps: first draw from seed [0, n],
+        # uniform weights, marks drawn in one vector
+        rng = np.random.default_rng([0, n])
+        shape = sample_conditioned(mu_from_weights(lambda k: 1.0), n, rng)
+        marks = rng.integers(0, np.asarray(shape.code) + 1)
+        H = phi_inverse(MarkedTree(shape, tuple(marks.tolist())))
+        r = check_lemma_bound(H, exact=False)
+        assert (r["lower"], r["upper"]) == (lower, upper)

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from halinloop.errors import InvariantError
@@ -43,12 +45,19 @@ class TestOrbitsAndEuler:
         assert m.n_vertices == 2
         assert m.n_edges == 2  # tree edge + boundary loop; half-edge not counted
         assert sorted(m.face_degrees()) == [1, 4]
-        assert m.euler_ok()
+        m.check_euler()
 
     def test_euler_on_all_small_maps(self):
         for n in range(1, 6):
             for H in enumerate_halin(n):
                 H.map.check_euler()
+
+    def test_euler_violation_rejected(self):
+        # one vertex with two interleaved loops: a map on the torus
+        m = PlanarMap((1, 0, 3, 2), (2, 3, 1, 0), 0)
+        assert (m.n_vertices, m.n_edges, m.n_faces) == (1, 2, 1)
+        with pytest.raises(InvariantError):
+            m.check_euler()
 
     def test_face_of_and_vertex_of_consistent(self):
         m = smallest_map()
@@ -65,7 +74,10 @@ class TestSerialization:
         for n in range(1, 5):
             for H in enumerate_halin(n):
                 m = H.map
-                assert PlanarMap.from_json(m.to_json()) == m
+                obj = json.loads(m.to_json())
+                assert obj["darts"] == m.n_darts
+                assert PlanarMap(obj["twin"], obj["next"], obj["root_dart"],
+                                 obj["half_edge_dart"]) == m
 
     def test_canonical_separates_small_maps(self):
         for n in range(1, 5):

@@ -9,7 +9,6 @@ from halinloop.errors import InvariantError, SizeGuardError
 from halinloop.gw import mu_from_weights, sample_conditioned
 from halinloop.looptree import loop_diameter
 from halinloop.plane_tree import (
-    LukasiewiczPath,
     MarkedTree,
     PlaneTree,
     enumerate_marked,
@@ -20,8 +19,12 @@ from halinloop.plane_tree import (
     marked_count_formula,
     parse_marked,
     parse_tree,
-    tree_from_lukasiewicz,
 )
+
+
+def _code_of_walk(walk):
+    """Child counts from walk steps: k = step + 1."""
+    return tuple(b - a + 1 for a, b in zip(walk, walk[1:]))
 
 
 def catalan(m: int) -> int:
@@ -80,22 +83,24 @@ class TestPlaneTree:
     def test_lukasiewicz_roundtrip_exhaustive(self):
         for n in range(1, 8):
             for t in enumerate_trees(n):
-                path = lukasiewicz(t)
-                assert path.values[0] == 0
-                assert path.values[-1] == -1
-                assert min(path.values[:-1]) >= 0
-                assert tree_from_lukasiewicz(path) == t
+                walk = lukasiewicz(t)
+                assert walk[0] == 0
+                assert walk[-1] == -1
+                assert min(walk[:-1]) >= 0
+                assert PlaneTree(_code_of_walk(walk)) == t
 
     def test_lukasiewicz_values_example(self):
-        assert lukasiewicz(PlaneTree((2, 1, 0, 0))).values == (0, 1, 1, 0, -1)
+        assert lukasiewicz(PlaneTree((2, 1, 0, 0))) == (0, 1, 1, 0, -1)
 
     @pytest.mark.parametrize(
         "values",
         [(0,), (0, 0), (1, 0, -1), (0, -1, -1), (0, 2, -1), (0, -2)],
     )
     def test_invalid_paths_rejected(self, values):
+        # a walk that is not an excursion from 0 to -1 has steps that are
+        # not a tree code, so PlaneTree rejects them
         with pytest.raises(InvariantError):
-            LukasiewiczPath(values)
+            PlaneTree(_code_of_walk(values))
 
 
 class TestEnumeration:
