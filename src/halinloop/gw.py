@@ -8,21 +8,14 @@ draws offspring counts (k_1, ..., k_n) i.i.d. from mu conditioned on
 summing to n-1 and applies the cycle lemma: exactly one cyclic
 rotation of the step sequence (k_i - 1) is a valid Lukasiewicz path.
 
-For n <= 256 the conditioning is plain vector rejection on the sum: a
-draw takes blocks of max(64, 4n) rows of i.i.d. counts and keeps the
-first row of the first block whose row sums to n-1.
-sample_conditioned_many draws many trees in chunks of up to 2^18
-uniforms (one block at n = 256), never more blocks than trees still
-needed, so a chunk reads no uniform the one-at-a-time draws would not:
-it gives the same trees as repeated sample_conditioned calls and leaves
-the generator in the same state.
-
-Above n = 256 the sum is split recursively (Devroye 2012): the n items
-halve into blocks of ceil(m/2) and floor(m/2) items, and a block's
-total is shared between its halves by the exact conditional law, read
-from partial-sum tables P_m built once per (mu, n) by FFT convolution.
-The split runs one depth at a time, one numpy pass per block size, so
-a draw costs about log2(n) passes rather than n Python iterations.
+The conditioning splits the sum recursively (Devroye 2012): the n
+items halve into blocks of ceil(m/2) and floor(m/2) items, and a
+block's total is shared between its halves by the exact conditional
+law, read from partial-sum tables P_m built once per (mu, n) by FFT.
+The split runs one depth at a time over a chunk of trees, one numpy
+pass per block size, so a batch costs about log2(n) passes.  Tree i of
+a chunk reads its own n-1 uniforms, so sample_conditioned_many gives
+the trees repeated sample_conditioned calls would, from the same seed.
 
 The split law is only as good as the tables.  Against direct
 convolution (n = 1024 and 4096, alpha = 1.5 and uniform weights) their
@@ -36,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -44,10 +36,8 @@ import numpy as np
 from .errors import UsageError
 from .plane_tree import PlaneTree
 
-_REJECTION_MAX_N = 256
-_REJECTION_MAX_TRIES = 10_000_000
-# uniforms drawn at once by the batched rejection: one block at n = 256
-_REJECTION_CHUNK = 1 << 18
+# items (trees x n) held by one call of _SizeLaw.sample_counts
+_CHUNK_ITEMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -202,46 +192,51 @@ def _head_table(mu: OffspringDistribution, n: int) -> np.ndarray:
     return p / t
 
 
-class _SplitTables:
-    """Partial-sum pmf tables P_m = law of k_1+...+k_m truncated to
-    [0, n-1], built by doubling with FFT convolutions."""
+class _SizeLaw:
+    """What conditioning on n vertices needs from mu, built once per
+    (mu, n): whether n is a possible size, and the partial-sum pmf
+    tables P_m = law of k_1+...+k_m truncated to [0, n-1], built from
+    the head table by doubling with FFT convolutions."""
 
-    def __init__(self, p: np.ndarray, n: int):
-        from scipy.signal import fftconvolve
-
+    def __init__(self, mu: OffspringDistribution, n: int):
         self.n = n
+        p = _head_table(mu, n)
+        support = np.nonzero(p > 0)[0]
+        g = int(np.gcd.reduce(support[support > 0])) if np.any(support > 0) else 0
+        self.possible = bool(p[0] > 0 and g != 0 and (n - 1) % g == 0)
         self.tables: dict[int, np.ndarray] = {1: p}
-        need = set()
-        stack = [n]
-        while stack:
-            m = stack.pop()
-            if m in need or m == 1:
-                continue
-            need.add(m)
-            stack.append((m + 1) // 2)
-            stack.append(m // 2)
-        for m in sorted(need):
-            a, b = (m + 1) // 2, m // 2
-            conv = fftconvolve(self.tables[a], self.tables[b])[: n]
+        if not self.possible:
+            return
+        need, level = set(), {n}
+        while level:
+            need |= level
+            level = {h for m in level if m > 1 for h in ((m + 1) // 2, m // 2)}
+        for m in sorted(need - {1}):
+            pa, pb = self.tables[(m + 1) // 2], self.tables[m // 2]
+            size = 1 << (len(pa) + len(pb) - 2).bit_length()
+            fa = np.fft.rfft(pa, size)
+            fb = fa if pb is pa else np.fft.rfft(pb, size)
+            conv = np.fft.irfft(fa * fb, size)[:n]
             np.clip(conv, 0.0, None, out=conv)
             self.tables[m] = conv
 
-    def sample_counts(self, n_items: int, total: int, rng: np.random.Generator) -> np.ndarray:
-        """One vector (k_1..k_m) with k_i iid ~ p given sum == total.
+    def sample_counts(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """count rows (k_1..k_n), each with k_i iid ~ p given sum == n-1.
 
         A block of m >= 2 items splits into a left block of ceil(m/2)
-        items and a right block of floor(m/2); the left block's share of
-        the block total is drawn from its exact conditional law.  Blocks
-        are processed one depth at a time: every block at one depth has
-        one of two sizes, and all blocks of a size are drawn in one pass.
-        Each split uses the uniform a depth-first recursion would draw
-        for it, the block's preorder index among the blocks of m >= 2
-        items, so the stream of a seed does not depend on the order.
+        items, whose share of the block total is drawn from its exact
+        conditional law, and a right block of floor(m/2).  All blocks of
+        one size at one depth, across all rows, are drawn in one pass.
+        Row i reads uniforms [i(n-1), (i+1)(n-1)), one per split in the
+        preorder of a depth-first recursion, so the stream of a seed does
+        not depend on the order of the passes or on the chunking.
         """
-        out = np.empty(n_items, dtype=np.int64)
-        u = rng.random(n_items - 1)
+        n = self.n
+        out = np.empty(count * n, dtype=np.int64)
+        u = rng.random(count * (n - 1))
+        rows = np.arange(count)
         # block size -> (totals, uniform indices, first items) at this depth
-        level = {n_items: (np.array([total]), np.array([0]), np.array([0]))}
+        level = {n: (np.full(count, n - 1), rows * (n - 1), rows * n)}
         while level:
             deeper: dict[int, list] = {}
             for m, (s, off, pos) in level.items():
@@ -253,7 +248,7 @@ class _SplitTables:
                 deeper.setdefault(a, []).append((sa, off + 1, pos))
                 deeper.setdefault(b, []).append((s - sa, off + a, pos + a))
             level = {m: tuple(map(np.concatenate, zip(*kids))) for m, kids in deeper.items()}
-        return out
+        return out.reshape(count, n)
 
     def _left_shares(self, a: int, b: int, s: np.ndarray, u: np.ndarray) -> np.ndarray:
         """For blocks of a + b items with totals s, the left a-block's
@@ -279,30 +274,6 @@ class _SplitTables:
         return np.minimum(lo + k, hi)
 
 
-class _SizeLaw:
-    """What conditioning on n vertices needs from mu, built once per
-    (mu, n): the head table, whether n is a possible size, and, on first
-    use, its cdf or the split tables."""
-
-    def __init__(self, mu: OffspringDistribution, n: int):
-        self.n = n
-        self.p = _head_table(mu, n)
-        support = np.nonzero(self.p > 0)[0]
-        g = int(np.gcd.reduce(support[support > 0])) if np.any(support > 0) else 0
-        self.possible = bool(self.p[0] > 0 and g != 0 and (n - 1) % g == 0)
-
-    @cached_property
-    def cdf(self) -> np.ndarray:
-        """The cdf rng.choice(p=self.p) searches, so the rejection path
-        turns the same uniforms into the same counts."""
-        cdf = self.p.cumsum()
-        return cdf / cdf[-1]
-
-    @cached_property
-    def split(self) -> _SplitTables:
-        return _SplitTables(self.p, self.n)
-
-
 _size_laws: dict[tuple, _SizeLaw] = {}
 
 
@@ -313,37 +284,6 @@ def _size_law(mu: OffspringDistribution, n: int) -> _SizeLaw:
             _size_laws.clear()
         _size_laws[key] = _SizeLaw(mu, n)
     return _size_laws[key]
-
-
-def _rejection_counts(law: _SizeLaw, count: int, rng: np.random.Generator):
-    """Yields arrays of rows (k_1..k_n), count rows in all, each row iid
-    ~ p given sum == n-1.
-
-    A draw takes blocks of max(64, 4n) rows and keeps the first row of
-    the first block with a hit.  A block yields at most one row, so
-    drawing min(rows still needed, chunk) blocks at once never reads
-    past the uniforms the draws would take one by one: the hit blocks
-    of a chunk are the next draws, in order, and the generator ends
-    where count single draws leave it.  A draw that sees
-    ceil(_REJECTION_MAX_TRIES / block rows) hitless blocks in a row
-    gives up.
-    """
-    n = law.n
-    batch = max(64, 4 * n)
-    max_blocks = -(-_REJECTION_MAX_TRIES // batch)
-    chunk = max(1, _REJECTION_CHUNK // (batch * n))
-    run = 0  # hitless blocks since the last hit
-    while count:
-        blocks = min(count, chunk)
-        ks = law.cdf.searchsorted(rng.random((blocks, batch, n)), side="right")
-        hit = ks.sum(axis=2) == n - 1
-        hit_blocks = np.nonzero(hit.any(axis=1))[0]
-        gaps = np.diff(hit_blocks, prepend=-1 - run) - 1
-        run = blocks - 1 - hit_blocks[-1] if hit_blocks.size else run + blocks
-        if max(gaps.max(initial=0), run) >= max_blocks:
-            raise UsageError("size appears to be outside the support of the total progeny")
-        count -= hit_blocks.size
-        yield ks[hit_blocks, hit[hit_blocks].argmax(axis=1)]
 
 
 def cycle_rotation(ks: np.ndarray) -> np.ndarray:
@@ -364,8 +304,7 @@ def sample_conditioned_many(
     """count trees with the branching-process law conditioned on n
     vertices: the trees count calls of sample_conditioned would draw
     from one generator, and that generator is left in the same state.
-    At n <= 256 the rejection draws run in chunks of blocks; above that
-    each tree is one pass of the split sampler."""
+    The split sampler draws them in chunks of about 2^16 items."""
     if n < 1:
         raise UsageError("need n >= 1")
     if count < 0:
@@ -376,11 +315,12 @@ def sample_conditioned_many(
     if not law.possible:
         raise UsageError("size %d is outside the support of the total progeny" % n)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    if n <= _REJECTION_MAX_N:
-        chunks = _rejection_counts(law, count, rng)
-    else:
-        chunks = (law.split.sample_counts(n, n - 1, rng)[None] for _ in range(count))
-    return [PlaneTree(tuple(code)) for ks in chunks for code in cycle_rotation(ks).tolist()]
+    chunk = max(1, _CHUNK_ITEMS // n)
+    return [
+        PlaneTree(tuple(code))
+        for done in range(0, count, chunk)
+        for code in cycle_rotation(law.sample_counts(min(chunk, count - done), rng)).tolist()
+    ]
 
 
 def sample_conditioned(

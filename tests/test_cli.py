@@ -144,13 +144,13 @@ class TestSampleAndMu:
 
     @pytest.mark.parametrize("argv, digest", [
         (["-n", "4", "--samples", "2000", "--seed", "11"],
-         "1a886a0656ddeb0f22d789a235fb971729180ce48cecc99a3dfefb5d99393adb"),
+         "3649a6f4e7c6e2e9ee0b81ba0ed1aaa1172aeb66c73306de6e57e71617f6c146"),
         (["-n", "4", "--samples", "2000", "--seed", "11", "--alpha", "1.5"],
-         "f52c0f73b31d4e4b6ce6dd78cff15daadde0a302e390b8f3cdf14a80add53752"),
+         "e5404e97918317fd2d49eb92f1be5017e0baff4b200926c20f0361e22638b4a0"),
         (["-n", "300", "--samples", "3", "--seed", "11"],
          "76cbbe2575e6f62581736348eaacbbc8f5b2a65718c2df0af8f7aee8c3585ab5"),
         (["-n", "6", "--samples", "50", "--seed", "11", "--as-map"],
-         "96254b041a82c73e58c1534750b747a8014870af412fc5071c80dcf78bca93cc"),
+         "a5580803d5fe42ab8458349865f21da0d83deb0b31152d08aeb4355bcf96836e"),
     ])
     def test_sample_stream_is_pinned(self, capout, argv, digest):
         # digests of the JSON samples; a change here means every seed now
@@ -160,16 +160,16 @@ class TestSampleAndMu:
 
     @pytest.mark.parametrize("argv, digest", [
         (["sample", "-n", "6", "--samples", "50", "--as-map"],
-         "cab0d5f071bf1b9ccf887e374693f31f4c657a6b93eb9faf963d3d1a2f73a29c"),
+         "2b0cf93cfed3c4bfbe967ed49c4eec2ccd5f305ceacb03655e48e3f5c58b69f3"),
         (["exp", "lukasiewicz", "--sizes", "64,128", "--samples", "20", "--seed", "3",
           "--format", "json"],
-         "e939a60031d7cbdc96ce174b57b8da42b9e9c0d10264bbd1b8868667414aa02e"),
+         "e5a5fa276b33b2898bd650cadc665e5bf0999446d5fbef48ed48234b05d433ff"),
         (["exp", "scaling", "--sizes", "1024,4096,65536", "--samples", "5", "--seed", "42",
           "--format", "csv"],
          "71c564188dc7b1a2defb7b00f039b624187b52b1ea8984939ba47d5aebfa0789"),
         (["exp", "scaling", "--sizes", "64,256,1024", "--samples", "5", "--seed", "42",
           "--format", "json"],
-         "0aceb091889936a913072ef89e0a80f2a382dda433d2623fcde5db535b3c684d"),
+         "5e329ddb07bce8298cd2cc51d2ac21bb50ea2ad59e9b10440c38bf4b0c8a75ba"),
     ])
     def test_stdout_is_pinned(self, capout, monkeypatch, argv, digest):
         # sha256 of the whole stdout; the JSON digests are of the output
@@ -272,15 +272,19 @@ class TestGlobalBehavior:
 
     def test_cli_import_leaves_scipy_unloaded(self):
         # scipy.signal and scipy.special cost about a second to import;
-        # only the commands that use them load them
+        # neither the CLI import nor draws with uniform weights load them
         env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(halinloop.__file__))}
-        code = "import sys, halinloop.cli; print(*sys.modules)"
+        code = ("import sys, halinloop.cli; print(*sys.modules); "
+                "from halinloop import gw; mu = gw.mu_from_weights(lambda k: 1.0); "
+                "gw.sample_conditioned_many(mu, 4, 3, 0); gw.sample_conditioned_many(mu, 300, 3, 0); "
+                "print(*sys.modules)")
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, timeout=120)
         assert out.returncode == 0, out.stderr
-        loaded = out.stdout.split()
-        assert "halinloop.cli" in loaded
-        assert "scipy.signal" not in loaded and "scipy.special" not in loaded
+        after_import, after_draws = (line.split() for line in out.stdout.splitlines())
+        assert "halinloop.cli" in after_import
+        for loaded in (after_import, after_draws):
+            assert "scipy.signal" not in loaded and "scipy.special" not in loaded
 
     def test_module_entry_point(self):
         env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(halinloop.__file__))}

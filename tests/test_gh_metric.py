@@ -1,6 +1,10 @@
+import tracemalloc
+from itertools import product
+
 import numpy as np
 import pytest
 
+from halinloop.bijection import phi, phi_inverse
 from halinloop.errors import BudgetExceededError, InvariantError, UsageError
 from halinloop.gh_metric import (
     Correspondence,
@@ -9,7 +13,10 @@ from halinloop.gh_metric import (
     gh_exact,
     gh_lower_bound,
 )
-from halinloop.looptree import LoopGraph
+from halinloop.gw import mu_from_weights, sample_conditioned
+from halinloop.halin import enumerate_halin
+from halinloop.looptree import LoopGraph, halin_metric, loop
+from halinloop.plane_tree import MarkedTree
 
 
 def cycle_space(n: int) -> FiniteMetricSpace:
@@ -41,6 +48,27 @@ class TestMetricValidation:
         d = np.array([[0, 1, 5], [1, 0, 1], [5, 1, 0]], dtype=float)
         with pytest.raises(InvariantError):
             FiniteMetricSpace(d)
+        # a 256-point path metric with one pair pushed 1e-6 beyond its
+        # shortest route
+        d = np.abs(np.subtract.outer(np.arange(256.0), np.arange(256.0)))
+        FiniteMetricSpace(d)
+        d[3, 200] = d[200, 3] = 197 + 1e-6
+        with pytest.raises(InvariantError):
+            FiniteMetricSpace(d)
+
+    def test_256_point_check_stays_small(self):
+        # the triangle check keeps O(n^2) temporaries: an n x n x n tensor
+        # at 256 points alone would take 134 MB.  numpy reports its buffers
+        # to tracemalloc; ru_maxrss of a subprocess would not do, as on
+        # Linux it starts from the parent's size at fork
+        d = np.abs(np.subtract.outer(np.arange(256.0), np.arange(256.0)))
+        tracemalloc.start()
+        try:
+            FiniteMetricSpace(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_graph_metric_of_edges(self):
         s = LoopGraph(4, ((0, 1), (1, 2), (2, 3), (3, 0))).metric_space()
@@ -110,6 +138,29 @@ class TestExactGH:
             gh_exact(cycle_space(12), cycle_space(13), budget=10)
 
 
+def _lower_bound_reference(x, y, seed=0):
+    """gh_lower_bound as a loop over all |y|^3 point triples per sampled
+    triple, comparing full 3 x 3 blocks, with its early break."""
+    lb = 0.5 * abs(x.diameter - y.diameter)
+    ex, ey = np.sort(x.eccentricities), np.sort(y.eccentricities)
+    h1 = max(float(np.abs(ey - e).min()) for e in ex)
+    h2 = max(float(np.abs(ex - e).min()) for e in ey)
+    lb = max(lb, 0.5 * max(h1, h2))
+    rng = np.random.default_rng(seed)
+    if x.size >= 3 and y.size >= 1:
+        for _ in range(200):
+            sub = rng.choice(x.size, size=3, replace=False)
+            dx = x.dist[np.ix_(sub, sub)]
+            best = np.inf
+            for ys in product(range(y.size), repeat=3):
+                dy = y.dist[np.ix_(ys, ys)]
+                best = min(best, float(np.abs(dx - dy).max()))
+                if best <= 2 * lb:
+                    break
+            lb = max(lb, 0.5 * best)
+    return lb
+
+
 class TestBounds:
     def test_identical_spaces_bounds(self):
         s = cycle_space(6)
@@ -127,3 +178,22 @@ class TestBounds:
             x = cycle_space(int(rng.integers(3, 7)))
             y = cycle_space(int(rng.integers(3, 7)))
             assert gh_lower_bound(x, y) <= gh_exact(x, y) + 1e-9
+
+    def test_certificate_matches_reference_on_small_maps(self):
+        for n in range(1, 5):
+            for H in enumerate_halin(n):
+                x, y = halin_metric(H), loop(phi(H).shape).metric_space()
+                assert gh_lower_bound(x, y) == _lower_bound_reference(x, y)
+                assert gh_lower_bound(y, x) == _lower_bound_reference(y, x)
+
+    @pytest.mark.parametrize("n", [10, 20])
+    def test_certificate_matches_reference_on_sampled_maps(self, n):
+        # the benchmark's rule: first draw from seed [s, n], uniform weights,
+        # marks drawn in one vector
+        for s in range(3):
+            rng = np.random.default_rng([s, n])
+            shape = sample_conditioned(mu_from_weights(lambda k: 1.0), n, rng)
+            marks = rng.integers(0, np.asarray(shape.code) + 1)
+            H = phi_inverse(MarkedTree(shape, tuple(marks.tolist())))
+            x, y = halin_metric(H), loop(shape).metric_space()
+            assert gh_lower_bound(x, y) == _lower_bound_reference(x, y)

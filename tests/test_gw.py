@@ -124,19 +124,15 @@ class TestConditionedSampler:
         assert len(trees) > 1
 
     def test_split_sampler_agrees_with_rejection_in_law(self):
-        # same conditional law through both code paths, compared via a
-        # coarse statistic (root child count) at matched sizes
-        import halinloop.gw as gw
-
+        # same conditional law from the sampler and from plain rejection
+        # on the sum, compared via a coarse statistic (root child count)
         mu = mu_from_weights(lambda k: 1.0)
         n, reps = 40, 3000
         roots_rej = np.array(
-            [sample_conditioned(mu, n, np.random.default_rng((2, i))).code[0] for i in range(reps)]
+            [code[0] for code in _rejection_draws(mu, n, reps, np.random.default_rng(2))]
         )
-        tables = gw._size_law(mu, n).split
-        rng = np.random.default_rng(3)
         roots_split = np.array(
-            [cycle_rotation(tables.sample_counts(n, n - 1, rng))[0] for i in range(reps)]
+            [t.code[0] for t in sample_conditioned_many(mu, n, reps, np.random.default_rng(3))]
         )
         from scipy.stats import ks_2samp
 
@@ -157,20 +153,15 @@ class TestConditionedSampler:
         with pytest.raises(UsageError):
             sample_conditioned_many(mu, 5, -1, rng)
 
-    def test_rare_size_gives_up(self, monkeypatch):
-        import halinloop.gw as gw
-
-        # n = 4 needs three 1s among four draws: possible, but about one
-        # row in 2.5e17 hits, so every block is hitless
+    def test_rare_size_draws_its_only_tree(self):
+        # n = 4 needs three 1s among four counts: about one row in 2.5e17
+        # of i.i.d. counts hits, but the split reaches it every time
         mu = OffspringDistribution(
             name="rare", pmf_func=lambda k: {0: 1 - 1e-6, 1: 1e-6}.get(k, 0.0), mean=1e-6,
             params={"eps": 1e-6},
         )
-        monkeypatch.setattr(gw, "_REJECTION_MAX_TRIES", 1000)
-        with pytest.raises(UsageError):
-            sample_conditioned(mu, 4, 0)
-        with pytest.raises(UsageError):
-            sample_conditioned_many(mu, 4, 5, 0)
+        assert sample_conditioned(mu, 4, 0).code == (1, 1, 1, 0)
+        assert [t.code for t in sample_conditioned_many(mu, 4, 5, 0)] == [(1, 1, 1, 0)] * 5
 
 
 class TestExactMasses:
@@ -258,74 +249,59 @@ def _root_degree_law(mu, n):
     return n * p * k / (n - 1) * s_prev[n - 1 - k] / s_n[n - 1]
 
 
-_FAMILIES = {"stable1.5": lambda: stable_mu(1.5), "uniform": lambda: mu_from_weights(lambda k: 1.0)}
+_FAMILIES = {
+    "stable1.1": lambda: stable_mu(1.1),
+    "stable1.5": lambda: stable_mu(1.5),
+    "uniform": lambda: mu_from_weights(lambda k: 1.0),
+}
 
 
-def _reference_draws(mu, n, k, rng):
-    """Reference: k draws one at a time, as sample_conditioned made them
-    before batching (rejection on the sum with rng.choice, one block of
-    rows per try, at n <= 256; one split pass above), rotated one row at
-    a time.  Also returns the number of hitless blocks drawn."""
-    import halinloop.gw as gw
-
-    if n == 1:
-        return [(0,)] * k, 0
-    law = gw._size_law(mu, n)
-    codes, hitless = [], 0
+def _rejection_draws(mu, n, k, rng):
+    """Reference law: k draws by plain rejection on the sum, the sampler
+    once used at n <= 256 (rows of i.i.d. counts from mu truncated to
+    {0..n-1}, the first row summing to n-1 kept), each rotated by the
+    cycle lemma."""
+    p = mu.table(n - 1)
+    p = p / p.sum()
+    batch = max(64, 4 * n)
+    codes = []
     for _ in range(k):
-        if n <= gw._REJECTION_MAX_N:
-            support = np.arange(n)
-            batch = max(64, 4 * n)
-            while True:
-                ks = rng.choice(support, size=(batch, n), p=law.p)
-                hit = np.nonzero(ks.sum(axis=1) == n - 1)[0]
-                if hit.size:
-                    ks = ks[hit[0]]
-                    break
-                hitless += 1
-        else:
-            ks = law.split.sample_counts(n, n - 1, rng)
+        while True:
+            ks = rng.choice(n, size=(batch, n), p=p)
+            hit = np.nonzero(ks.sum(axis=1) == n - 1)[0]
+            if hit.size:
+                ks = ks[hit[0]]
+                break
         cut = int(np.argmin(np.cumsum(ks - 1))) + 1
         codes.append(tuple(np.concatenate([ks[cut:], ks[:cut]]).tolist()))
-    return codes, hitless
-
-
-def _chunks_spanned(n, chunks):
-    """A draw count whose batched draw spans at least this many chunks."""
-    import halinloop.gw as gw
-
-    if n > gw._REJECTION_MAX_N:
-        return chunks
-    batch = max(64, 4 * n)
-    return (chunks - 1) * max(1, gw._REJECTION_CHUNK // (batch * n)) + 1
+    return codes
 
 
 class TestBatchedSampler:
     @pytest.mark.parametrize("family", sorted(_FAMILIES))
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 64, 256, 257, 300])
-    def test_same_stream_as_single_draws(self, family, n):
-        mu = _FAMILIES[family]()
-        k = _chunks_spanned(n, 3)
-        r1, r2 = np.random.default_rng((n, 5)), np.random.default_rng((n, 5))
-        want, _ = _reference_draws(mu, n, k, r1)
-        assert [t.code for t in sample_conditioned_many(mu, n, k, r2)] == want
-        assert r1.bit_generator.state == r2.bit_generator.state
+    def test_same_stream_as_single_draws(self, monkeypatch, family, n):
+        # chunks of 64 items, so that a few draws span three chunks; each
+        # reference draw is the depth-first split, one uniform at a time
+        import halinloop.gw as gw
 
-    @pytest.mark.parametrize("n", [7, 64, 256])
-    def test_same_stream_with_hitless_blocks(self, n):
-        # at alpha = 1.1 a quarter to a half of all blocks hold no hit
-        mu = stable_mu(1.1)
-        k = _chunks_spanned(n, 3)
-        r1, r2 = np.random.default_rng((n, 6)), np.random.default_rng((n, 6))
-        want, hitless = _reference_draws(mu, n, k, r1)
-        assert hitless > 0
+        monkeypatch.setattr(gw, "_CHUNK_ITEMS", 64)
+        mu = _FAMILIES[family]()
+        k = 2 * max(1, 64 // n) + 1
+        r1, r2 = np.random.default_rng((n, 5)), np.random.default_rng((n, 5))
+        if n == 1:
+            want = [(0,)] * k
+        else:
+            tables = gw._size_law(mu, n)
+            want = [tuple(cycle_rotation(_stack_split_counts(tables, n, n - 1, r1)).tolist())
+                    for _ in range(k)]
         assert [t.code for t in sample_conditioned_many(mu, n, k, r2)] == want
         assert r1.bit_generator.state == r2.bit_generator.state
 
 
 class TestSplitSampler:
-    @pytest.mark.parametrize("family", sorted(_FAMILIES))
-    @pytest.mark.parametrize("n", [300, 1024, 4096])
+    @pytest.mark.parametrize("family", ["stable1.5", "uniform"])
+    @pytest.mark.parametrize("n", [4, 7, 40, 256, 300, 1024, 4096])
     def test_root_degree_matches_exact_law(self, family, n):
         from scipy.stats import chisquare
 
@@ -334,7 +310,7 @@ class TestSplitSampler:
         assert law.sum() == pytest.approx(1.0, abs=1e-9)
         reps = 2000
         rng = np.random.default_rng((n, 11))
-        roots = np.array([sample_conditioned(mu, n, rng).code[0] for _ in range(reps)])
+        roots = np.array([t.code[0] for t in sample_conditioned_many(mu, n, reps, rng)])
         # bins [edge_j, edge_{j+1}) over degrees, each expecting >= 5 draws
         expected = reps * law
         edges, acc = [0], 0.0
@@ -372,10 +348,10 @@ class TestSplitSampler:
         for family in sorted(_FAMILIES):
             mu = _FAMILIES[family]()
             for n in (2, 3, 7, 64, 257, 1000):
-                tables = gw._size_law(mu, n).split
+                tables = gw._size_law(mu, n)
                 for seed in range(5):
                     r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
-                    got = tables.sample_counts(n, n - 1, r1)
+                    got = tables.sample_counts(1, r1)[0]
                     want = _stack_split_counts(tables, n, n - 1, r2)
                     assert np.array_equal(got, want), (family, n, seed)
                     assert r1.random() == r2.random()

@@ -348,11 +348,13 @@ class TestLemmaBound:
 
     @pytest.mark.parametrize("n, lower, upper", [(10, 0.5, 2.5), (20, 1.5, 5.5)])
     def test_bounds_are_pinned(self, n, lower, upper):
-        # the benchmark's bounds-mode maps: first draw from seed [0, n],
-        # uniform weights, marks drawn in one vector
-        rng = np.random.default_rng([0, n])
-        shape = sample_conditioned(mu_from_weights(lambda k: 1.0), n, rng)
-        marks = rng.integers(0, np.asarray(shape.code) + 1)
-        H = phi_inverse(MarkedTree(shape, tuple(marks.tolist())))
+        # fixed maps with n internal vertices, so that these pin the bounds
+        # and not the sampler
+        code, marks = {
+            10: ((6, 0, 0, 1, 0, 1, 0, 1, 0, 0), (0, 0, 0, 1, 0, 1, 0, 0, 0, 0)),
+            20: ((4, 1, 0, 1, 0, 1, 0, 1, 1, 1, 2, 1, 1, 0, 1, 3, 0, 0, 1, 0),
+                 (4, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 1, 0)),
+        }[n]
+        H = phi_inverse(MarkedTree(PlaneTree(code), marks))
         r = check_lemma_bound(H, exact=False)
         assert (r["lower"], r["upper"]) == (lower, upper)
