@@ -21,53 +21,13 @@ they are frozen below.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Callable
 
 from .errors import InvariantError
-from .halin import (
-    HalinMap,
-    build_halin,
-    dart_vertex,
-    down,
-    enumerate_halin,
-    n_tree_darts,
-    other_dart,
-    rotations_to_nxt,
-    satisfies_hstar,
-    tree_rotations,
-    up,
-)
+from .halin import HalinMap, build_halin, enumerate_halin, n_tree_darts, satisfies_hstar
 from .plane_tree import MarkedTree, PlaneTree, enumerate_trees
-
-_LEAF = -1
-
-
-def _face_cycles(H: HalinMap) -> tuple[dict[int, list[int]], dict[int, int]]:
-    """Tree-dart cycles of each bounded face, and dart -> face index."""
-    m = H.map
-    ntree = n_tree_darts(H.tree.zeta)
-    cycles: dict[int, list[int]] = {}
-    for fi in range(m.n_faces):
-        if fi == H.outer_face:
-            continue
-        cycles[fi] = [d for d in m.faces[fi] if d < ntree]
-    return cycles, {d: fi for fi, cyc in cycles.items() for d in cyc}
-
-
-def _root_rotation(cyc: list[int], internal: list[bool]) -> list[int]:
-    """Rotation of the root dual vertex cut just after its polygon-dart
-    pair, with the pair removed."""
-    r = len(cyc)
-    pair_at = None
-    for i, d in enumerate(cyc):
-        if not internal[d] and not internal[cyc[(i + 1) % r]]:
-            pair_at = i
-            break
-    if pair_at is None:
-        raise InvariantError("root face lacks an adjacent polygon-dart pair")
-    j = (pair_at + 2) % r
-    return (cyc[j:] + cyc[:j])[:-2]
 
 
 def phi(H: HalinMap) -> MarkedTree:
@@ -81,49 +41,71 @@ def phi_with_faces(H: HalinMap) -> tuple[MarkedTree, tuple[int, ...]]:
     if not satisfies_hstar(H.tree):
         raise InvariantError("map does not satisfy the one-leaf-child rule")
     m = H.map
-    code = H.tree.code
-    # dual to an internal tree edge, not to a polygon side
-    internal = [code[dart_vertex(d)] != 0 for d in range(n_tree_darts(H.tree.zeta))]
-    cycles, face_of_dart = _face_cycles(H)
-    rot0 = _root_rotation(cycles[H.root_face], internal)
+    twin, step, face_of = m.twin, m.face_nxt, m.face_of
+    ntree = n_tree_darts(H.tree.zeta)
+    # tree dart 2(v-1) or 2(v-1)+1 is dual to an internal tree edge (2)
+    # or to a polygon side (1) as its lower end v is internal or a leaf;
+    # the boundary darts and the half-edge are 0
+    kind = [0] * m.n_darts
+    kind[0:ntree:2] = kind[1:ntree:2] = [2 if k else 1 for k in H.tree.code[1:]]
+    outer, root_face = H.outer_face, H.root_face
 
-    out_code: list[int] = []
-    out_marks: list[int] = []
-    faces_pre: list[int] = []
-    seen = {H.root_face}
-    # iterative preorder over (face, rotation after the parent dart, is_root)
-    work: list = [(H.root_face, rot0, True)]
+    # the root's rotation: the internal tree darts of its face, cut just
+    # after the first adjacent pair of polygon darts
+    cyc = [d for d in m.faces[root_face] if kind[d]]
+    r = len(cyc)
+    at = next((i for i in range(r) if kind[cyc[i]] == kind[cyc[(i + 1) % r]] == 1), None)
+    if at is None:
+        raise InvariantError("root face lacks an adjacent polygon-dart pair")
+    rot0 = [d for d in cyc[at + 2:] + cyc[: at + 2] if kind[d] == 2]
+
+    out_code = [len(rot0)]
+    out_marks = [0]  # the root mark is set below
+    faces_pre = [root_face]
+    seen = bytearray(m.n_faces)
+    seen[root_face] = 1
+    # preorder over the dual tree: the stack holds the darts through
+    # whose twins faces are entered.  A face entered at t lists its
+    # children around the face from t on; its mark counts those before
+    # its pair of polygon darts, which must be adjacent.
+    work = rot0[::-1]
     while work:
-        face, rot, is_root = work.pop()
-        faces_pre.append(face)
-        children = [d for d in rot if internal[d]]
-        out_code.append(len(children))
-        if is_root:
-            out_marks.append(0)  # placeholder, fixed below
-        else:
-            leaf_pos = [i for i, d in enumerate(rot) if not internal[d]]
-            if len(leaf_pos) != 2 or leaf_pos[1] != leaf_pos[0] + 1:
-                raise InvariantError("dual vertex without an adjacent polygon pair")
-            out_marks.append(sum(1 for d in rot[: leaf_pos[0]] if internal[d]))
-        for d in reversed(children):
-            t = m.twin[d]
-            cf = face_of_dart[t]
-            if cf in seen:
-                raise InvariantError("dual tree revisits a face")
-            seen.add(cf)
-            cyc = cycles[cf]
-            p = cyc.index(t)
-            work.append((cf, cyc[p + 1:] + cyc[:p], False))
+        t = twin[work.pop()]
+        f = face_of[t]
+        if f == outer:
+            raise InvariantError("dual tree leaves the bounded faces")
+        if seen[f]:
+            raise InvariantError("dual tree revisits a face")
+        seen[f] = 1
+        kids = []
+        mark = polygon = 0
+        d = step[t]
+        while d != t:
+            k = kind[d]
+            if k == 2:
+                kids.append(d)
+            elif k:
+                polygon += 1
+                if polygon == 1:
+                    mark = len(kids)
+                elif len(kids) != mark:
+                    polygon = 3  # the pair is not adjacent: never 2 again
+            d = step[d]
+        if polygon != 2:
+            raise InvariantError("dual vertex without an adjacent polygon pair")
+        faces_pre.append(f)
+        out_code.append(len(kids))
+        out_marks.append(mark)
+        work += kids[::-1]
     if len(out_code) != H.n_internal:
         raise InvariantError("dual tree does not span the bounded faces")
 
     # root mark: index of the child dual to the root edge, or 0 when the
     # root edge is a leaf edge
     rd = m.root_dart
-    if internal[rd]:
-        dual = rd if face_of_dart[rd] == H.root_face else m.twin[rd]
-        children0 = [d for d in rot0 if internal[d]]
-        out_marks[0] = children0.index(dual) + 1
+    if kind[rd] == 2:
+        dual = rd if face_of[rd] == root_face else twin[rd]
+        out_marks[0] = rot0.index(dual) + 1
     return MarkedTree(PlaneTree(tuple(out_code)), tuple(out_marks)), tuple(faces_pre)
 
 
@@ -138,79 +120,81 @@ def phi_inverse_with_cells(marked: MarkedTree) -> tuple[HalinMap, tuple[int, ...
     """Same as ``phi_inverse``, also returning for each vertex of the
     marked tree the internal vertex of the map carved out by its
     contour segment."""
-    T = marked.shape
-    marks = marked.marks
-    code = T.code
-    n = T.zeta
+    code, marks = marked.shape.code, marked.marks
+    n = len(code)
     if n == 1:
         return build_halin(PlaneTree((1, 0))), (0,)
-    ch = T.children()
-    nxt = rotations_to_nxt(tree_rotations(T), n_tree_darts(n))
 
-    # contour of the tree: the single face of its embedding
-    start = down(ch[0][0])
-    contour = [start]
-    d = nxt[other_dart(start)]
-    while d != start:
-        contour.append(d)
-        d = nxt[other_dart(d)]
+    # the contour of the tree is its depth-first sequence of down and up
+    # darts; tw[x] is the position of the other dart of the edge at x, and
+    # cutter[x] the vertex whose marked corner the dart at x leaves (-1 for
+    # none).  The root cuts at its wrap corner, before its first child.
+    size = 2 * (n - 1)
+    tw = [0] * size
+    cutter = [-1] * size
+    cutter[0] = 0
+    root_pick = -1  # contour position of down(c_m) for the root mark m > 0
+    x = 0
+    # per open vertex: itself, its down position, its children to come,
+    # and that count as its marked child comes (the root's child number m)
+    stack = [[0, -1, code[0], code[0] - marks[0] + 1]]
+    for v in range(1, n):
+        top = stack[-1]
+        left = top[2]
+        top[2] = left - 1
+        if left == top[3]:
+            if top[0]:
+                cutter[x] = top[0]
+            else:
+                root_pick = x
+        dv = x
+        x += 1
+        k = code[v]
+        if k:
+            stack.append([v, dv, k, k - marks[v]])
+            continue
+        # a leaf cuts at its up dart, and so does every vertex it closes
+        # whose marked corner is its last
+        cutter[x] = v
+        tw[x], tw[dv] = dv, x
+        x += 1
+        while stack[-1][2] == 0 and len(stack) > 1:
+            w, dw, _, _ = stack.pop()
+            if marks[w] == code[w]:
+                cutter[x] = w
+            tw[x], tw[dw] = dw, x
+            x += 1
 
-    # each vertex contributes one cut: the dart leaving its marked corner
-    cuts: dict[int, int] = {}
-    for v in range(n):
-        k, m = code[v], marks[v]
-        if v == 0:
-            cuts[down(ch[0][0])] = v  # the wrap corner of the root
-        elif k == 0 or m == k:
-            cuts[up(v)] = v
-        else:
-            cuts[down(ch[v][m])] = v
-    if len(cuts) != n:
-        raise InvariantError("marked corners do not cut into cells")
+    # the cells are the contour segments between consecutive cuts
+    start = [x for x, w in enumerate(cutter) if w >= 0] + [size]
+    owner = [w for w in cutter if w >= 0]
 
-    idx = [i for i, dd in enumerate(contour) if dd in cuts]
-    segs: list[list[int]] = []
-    for a, b in zip(idx, idx[1:] + [idx[0] + len(contour)]):
-        segs.append([contour[i % len(contour)] for i in range(a, b)])
-    cell_of = {dd: ci for ci, s in enumerate(segs) for dd in s}
-    owner = [cuts[s[0]] for s in segs]  # tree vertex whose corner opens the cell
-
-    # cyclic neighbour lists: adjacent cell per segment dart, then the
-    # leaf child at the wrap
-    rots = [[cell_of[other_dart(dd)] for dd in s] + [_LEAF] for s in segs]
-
-    rm = marks[0]
-    if rm == 0:
-        root_cell = cell_of[down(ch[0][0])]
-        first = _LEAF
+    # preorder over the cell tree.  A cell's cyclic neighbours are one per
+    # segment dart (through its twin), then its leaf child at the wrap; the
+    # stack holds the positions through which cells are entered, -1 a leaf.
+    if root_pick < 0:
+        c = 0
+        kids = [-1] + tw[: start[1]]
     else:
-        e = down(ch[0][rm - 1])
-        root_cell, first = cell_of[other_dart(e)], cell_of[e]
-
-    # iterative preorder over the cell tree
-    out: list[int] = []
-    internal_of = [0] * n  # map vertex of each cell, indexed by owner
-    work: list = [("cell", root_cell, None)]
+        y = tw[root_pick]
+        c = bisect_right(start, y) - 1
+        kids = tw[y : start[c + 1]] + [-1] + tw[start[c] : y]
+    out = [len(kids)]
+    internal_of = [0] * n  # map vertex of each cell, indexed by owner; the root cell's is 0
+    rtw = tw[::-1]  # a reversed run of tw is one slice of rtw
+    work = kids[::-1]
     while work:
-        item = work.pop()
-        if item[0] == "leaf":
+        y = work.pop()
+        if y < 0:
             out.append(0)
             continue
-        _, cell, entry = item
-        internal_of[owner[cell]] = len(out)
-        lst = rots[cell]
-        if entry is None:
-            p = lst.index(first)
-            kids = lst[p:] + lst[:p]
-        else:
-            p = lst.index(entry)
-            kids = lst[p + 1:] + lst[:p]
-        out.append(len(kids))
-        for x in reversed(kids):
-            if x == _LEAF:
-                work.append(("leaf",))
-            else:
-                work.append(("cell", x, cell))
+        c = bisect_right(start, y) - 1
+        internal_of[owner[c]] = len(out)
+        a, b = start[c], start[c + 1]
+        out.append(b - a)
+        work += rtw[size - y : size - a]  # tw[a:y] reversed
+        work.append(-1)
+        work += rtw[size - b : size - 1 - y]  # tw[y + 1:b] reversed
 
     return build_halin(PlaneTree(tuple(out))), tuple(internal_of)
 

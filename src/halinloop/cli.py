@@ -252,6 +252,8 @@ def _cmd_bij(args) -> dict:
         return {"ok": ok, "total": total, "text": text,
                 "config": _resolved_config(args, ["action", "n", "exhaustive", "force"])}
     if args.action == "pushforward":
+        if args.force:
+            raise UsageError("pushforward does not take --force; its enumerations keep their size guards")
         rep = pushforward_distribution(args.n, lambda k: Fraction(1))
         text = "n=%d max discrepancy %s (%s)" % (
             rep["n"], rep["max_discrepancy"],

@@ -98,13 +98,15 @@ def gh_lower_bound(x: FiniteMetricSpace, y: FiniteMetricSpace, seed: int | None 
     1e-9 slack, the bound reads those three entries as given and can
     come out up to 1e-9 below a comparison of full blocks.
     """
+    if x.size == 0 or y.size == 0:
+        raise UsageError("empty metric space")
     lb = 0.5 * abs(x.diameter - y.diameter)
     ex, ey = np.sort(x.eccentricities), np.sort(y.eccentricities)
     h1 = max(float(np.abs(ey - e).min()) for e in ex)
     h2 = max(float(np.abs(ex - e).min()) for e in ey)
     lb = max(lb, 0.5 * max(h1, h2))
     rng = np.random.default_rng(seed)
-    if x.size < 3 or y.size < 1:
+    if x.size < 3:
         return lb
     subs = np.array([rng.choice(x.size, size=3, replace=False) for _ in range(200)])
     tx = x.dist[subs[:, [0, 0, 1]], subs[:, [1, 2, 2]]]

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import prod
 from typing import Callable, Iterator
 
@@ -33,16 +34,9 @@ HALIN_ENUM_GUARD = 10
 
 
 def satisfies_hstar(tree: PlaneTree) -> bool:
-    """True when every internal vertex has exactly one leaf child."""
-    code = tree.code
-    children = tree.children()
-    for v, k in enumerate(code):
-        if k == 0:
-            continue
-        leaf_children = sum(1 for c in children[v] if code[c] == 0)
-        if leaf_children != 1:
-            return False
-    return True
+    """True when every internal vertex has exactly one leaf child; cached
+    on the tree, so ``build_halin``, ``validate`` and ``phi`` share it."""
+    return tree.one_leaf_child
 
 
 def _with_leaf_children(marked: MarkedTree) -> tuple[int, ...]:
@@ -131,9 +125,7 @@ class HalinMap:
     def validate(self) -> None:
         m = self.map
         m.check_euler()
-        code = self.tree.code
-        zeta = self.tree.zeta
-        n = self.tree.leaf_count()
+        code, zeta, n = self.tree.code, self.tree.zeta, self.tree.leaf_count()
         if zeta != 2 * n or not satisfies_hstar(self.tree):
             raise InvariantError("tree violates the one-leaf-child rule")
         if m.n_edges != zeta - 1 + n:
@@ -148,22 +140,21 @@ class HalinMap:
                 raise InvariantError(
                     "vertex %d degree %d, expected %d" % (v, len(orb), expect)
                 )
+        # every bounded face has degree at least four and shares exactly one
+        # edge with the unbounded face, whose darts' twins count the shares
+        shared = [0] * m.n_faces
+        for d in m.faces[self.outer_face]:
+            t = m.twin[d]
+            if t != d:
+                shared[m.face_of[t]] += 1
         degs = m.face_degrees()
-        outer = self.outer_face
         for f in self.bounded_faces():
-            # every bounded face has degree at least four
             if degs[f] < 4:
                 raise InvariantError("bounded face of degree %d" % degs[f])
-            # and shares exactly one edge with the unbounded face
-            shared = sum(
-                1
-                for d in m.faces[f]
-                if m.twin[d] != d and m.face_of[m.twin[d]] == outer
-            )
-            if shared != 1:
+            if shared[f] != 1:
                 raise InvariantError(
                     "bounded face %d shares %d edges with the unbounded face"
-                    % (f, shared)
+                    % (f, shared[f])
                 )
 
 
@@ -176,69 +167,57 @@ class HalinMap:
 # Both darts of every edge but the half-edge differ in their lowest bit.
 
 
-def down(v: int) -> int:
-    return 2 * (v - 1)
-
-
-def up(v: int) -> int:
-    return 2 * (v - 1) + 1
-
-
-def other_dart(d: int) -> int:
-    """The twin of a dart that is not the half-edge."""
-    return d ^ 1
-
-
-def dart_vertex(d: int) -> int:
-    """The non-root vertex whose up edge carries tree dart d."""
-    return d // 2 + 1
-
-
 def n_tree_darts(zeta: int) -> int:
     """Number of tree darts, which is also the first boundary dart f_0."""
     return 2 * (zeta - 1)
-
-
-def tree_rotations(tree: PlaneTree) -> list[list[int]]:
-    """Counterclockwise tree darts around each vertex: the up dart (none
-    at the root), then the down darts of the children."""
-    return [
-        ([up(v)] if v else []) + [down(c) for c in kids]
-        for v, kids in enumerate(tree.children())
-    ]
-
-
-def rotations_to_nxt(rotations: list[list[int]], n_darts: int) -> list[int]:
-    """The ``nxt`` permutation whose cycles are the given rotations."""
-    nxt = [0] * n_darts
-    for rot in rotations:
-        for j, d in enumerate(rot):
-            nxt[d] = rot[(j + 1) % len(rot)]
-    return nxt
 
 
 def build_halin(tree: PlaneTree) -> HalinMap:
     """Assemble the rotation system for a tree of one-leaf-child type.
 
     Rotations (ccw): internal non-root vertex (up, c_1..c_k); root
-    (c_1, h, c_2..c_k); leaf number i (up, g_{i-1}, f_i).
+    (c_1, h, c_2..c_k); leaf number i (up, g_{i-1}, f_i).  One walk over
+    the code writes ``nxt``; it chains the root's children into the cycle
+    (c_1..c_k), and h is spliced in after c_1 at the end.
     """
-    zeta = tree.zeta
+    code = tree.code
+    zeta = len(code)
     if zeta < 2:
         raise UsageError("need at least one edge")
     if not satisfies_hstar(tree):
         raise InvariantError("tree violates the one-leaf-child rule")
-    leaves = tree.leaves()
-    lam = len(leaves)
     base = n_tree_darts(zeta)
-    h = base + 2 * lam
-    rotations = tree_rotations(tree)
-    rotations[0].insert(1, h)
-    for i, v in enumerate(leaves):
-        rotations[v] += [base + 2 * ((i - 1) % lam) + 1, base + 2 * i]
-    twin = [other_dart(d) for d in range(h)] + [h]
+    h = base + zeta  # zeta / 2 leaves, two boundary darts each
+    nxt = [0] * (h + 1)
+    g, f = h - 1, base  # g_{i-1} and f_i of the next leaf i, from g_{-1} = g_{lam-1}
+    # per open vertex: last dart of its rotation so far (h stands in before
+    # the root's first child), the dart its last child's down dart returns
+    # to, children still to come
+    stack = [[h, 0, code[0]]]
+    for v in range(1, zeta):
+        top = stack[-1]
+        d = 2 * v - 2  # down(v)
+        nxt[top[0]] = d
+        if top[2] == 1:
+            nxt[d] = top[1]
+            stack.pop()
+        else:
+            top[0] = d
+            top[2] -= 1
+        u = d + 1  # up(v)
+        k = code[v]
+        if k:
+            stack.append([u, u, k])
+        else:
+            nxt[u] = g
+            nxt[g] = f
+            nxt[f] = u
+            g = f + 1
+            f += 2
+    nxt[h], nxt[0] = nxt[0], h
+    twin = (*chain.from_iterable(zip(range(1, h, 2), range(0, h, 2))), h)  # d ^ 1, and h
     # rooted at the down dart of vertex 1, the root's first child
-    m = PlanarMap(tuple(twin), tuple(rotations_to_nxt(rotations, h + 1)), down(1), h)
+    m = PlanarMap(twin, tuple(nxt), 0, h)
     return HalinMap(tree, m)
 
 

@@ -39,28 +39,29 @@ class PlanarMap:
             if self.root_dart != -1 or self.half_edge_dart is not None:
                 raise InvariantError("empty map must have root_dart == -1")
             return
-        if sorted(self.nxt) != list(range(d)):
+        twin, nxt, half = self.twin, self.nxt, self.half_edge_dart
+        if sorted(nxt) != list(range(d)):
             raise InvariantError("nxt is not a permutation")
-        for i in range(d):
-            if not 0 <= self.twin[i] < d or self.twin[self.twin[i]] != i:
+        for i, t in enumerate(twin):
+            if not 0 <= t < d or twin[t] != i:
                 raise InvariantError("twin is not an involution")
-            if self.twin[i] == i and i != self.half_edge_dart:
+            if t == i and i != half:
                 raise InvariantError("fixed point of twin that is not the half-edge")
-        if self.half_edge_dart is not None and self.twin[self.half_edge_dart] != self.half_edge_dart:
+        if half is not None and twin[half] != half:
             raise InvariantError("half-edge dart must be its own twin")
         if not 0 <= self.root_dart < d:
             raise InvariantError("root dart out of range")
-        # connectivity: <twin, nxt> acts transitively on darts
-        seen = [False] * d
+        # connectivity: <twin, nxt> acts transitively on darts; each pop
+        # walks a whole nxt-orbit and queues the twins along it
+        seen = bytearray(d)
         stack = [0]
-        seen[0] = True
         while stack:
             x = stack.pop()
-            for y in (self.twin[x], self.nxt[x]):
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
-        if not all(seen):
+            while not seen[x]:
+                seen[x] = 1
+                stack.append(twin[x])
+                x = nxt[x]
+        if 0 in seen:
             raise InvariantError("dart set is not connected")
 
     @property
@@ -75,36 +76,36 @@ class PlanarMap:
     # -- orbits -------------------------------------------------------------
 
     @cached_property
-    def vertices(self) -> tuple[tuple[int, ...], ...]:
-        """Orbits of nxt: the darts around each vertex, ccw."""
-        if not self.twin:
-            return ((),)
+    def face_nxt(self) -> tuple[int, ...]:
+        """The permutation d -> nxt[twin[d]], whose orbits are the faces."""
+        return tuple(map(self.nxt.__getitem__, self.twin))
+
+    @cached_property
+    def _vertex_orbits(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         return _orbits(self.nxt)
 
     @cached_property
+    def _face_orbits(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        return _orbits(self.face_nxt)
+
+    @cached_property
+    def vertices(self) -> tuple[tuple[int, ...], ...]:
+        """Orbits of nxt: the darts around each vertex, ccw."""
+        return self._vertex_orbits[0]
+
+    @cached_property
     def vertex_of(self) -> tuple[int, ...]:
-        out = [0] * self.n_darts
-        for vi, orb in enumerate(self.vertices):
-            for dart in orb:
-                out[dart] = vi
-        return tuple(out)
+        return self._vertex_orbits[1]
 
     @cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
-        """Orbits of d -> nxt[twin[d]]; each orbit lists the darts whose
-        left side is that face, in traversal order."""
-        if not self.twin:
-            return ((),)
-        perm = [self.nxt[self.twin[d]] for d in range(self.n_darts)]
-        return _orbits(perm)
+        """Orbits of ``face_nxt``; each orbit lists the darts whose left
+        side is that face, in traversal order."""
+        return self._face_orbits[0]
 
     @cached_property
     def face_of(self) -> tuple[int, ...]:
-        out = [0] * self.n_darts
-        for fi, orb in enumerate(self.faces):
-            for dart in orb:
-                out[dart] = fi
-        return tuple(out)
+        return self._face_orbits[1]
 
     @property
     def n_vertices(self) -> int:
@@ -132,12 +133,7 @@ class PlanarMap:
         return (dart, t) if dart < t else (t, dart)
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for d in range(self.n_darts):
-            t = self.twin[d]
-            if d < t:
-                out.append((d, t))
-        return out
+        return [(d, t) for d, t in enumerate(self.twin) if d < t]
 
     # -- canonical form / serialization ---------------------------------------
 
@@ -181,18 +177,23 @@ class PlanarMap:
         )
 
 
-def _orbits(perm) -> tuple[tuple[int, ...], ...]:
-    n = len(perm)
-    seen = [False] * n
+def _orbits(perm) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The cycles of a permutation, each from its smallest element and
+    numbered in that order, and the cycle of each element; the empty
+    permutation has one empty cycle (the single-vertex map)."""
+    if not perm:
+        return ((),), ()
+    of = [-1] * len(perm)
     out = []
-    for start in range(n):
-        if seen[start]:
+    for start, k in enumerate(of):
+        if k >= 0:
             continue
+        k = len(out)
         orb = []
         d = start
-        while not seen[d]:
-            seen[d] = True
+        while of[d] < 0:
+            of[d] = k
             orb.append(d)
             d = perm[d]
         out.append(tuple(orb))
-    return tuple(out)
+    return tuple(out), tuple(of)

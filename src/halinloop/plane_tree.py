@@ -77,6 +77,25 @@ class PlaneTree:
                 dep[v] = dep[p] + 1
         return tuple(dep)
 
+    @cached_property
+    def one_leaf_child(self) -> bool:
+        """True when every internal vertex has exactly one leaf child."""
+        # per open vertex: children still to come, negated once its leaf child is seen
+        stack = [self.code[0]]
+        for k in itertools.islice(self.code, 1, None):
+            r = stack.pop()
+            if k:
+                if r == 1:
+                    return False  # its last child, and no leaf child
+                if r != -1:
+                    stack.append(r - 1 if r > 0 else r + 1)
+                stack.append(k)
+            elif r < 0:
+                return False  # a second leaf child
+            elif r > 1:
+                stack.append(1 - r)
+        return True
+
     def parents(self) -> tuple[int, ...]:
         """Parent index per vertex (-1 for the root)."""
         return self._parents

@@ -76,6 +76,13 @@ class TestBijection:
         capout(["bij", "pushforward", "-n", "11"], expect=EXIT_USAGE)
         assert time.monotonic() - t0 < 1.0
 
+    def test_pushforward_rejects_force(self, capout, capsys):
+        assert run(["bij", "pushforward", "-n", "2", "--force"]) == EXIT_USAGE
+        assert "does not take --force" in capsys.readouterr().err
+        obj = json.loads(capout(["bij", "pushforward", "-n", "2", "--format", "json"]))
+        assert obj["exact_match"] is True
+        assert "force" not in obj["config"]
+
     def test_bad_marked_tree_is_usage_error(self, capout):
         capout(["bij", "inv", "--marked", "nonsense"], expect=EXIT_USAGE)
 

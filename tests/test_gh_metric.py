@@ -172,6 +172,13 @@ class TestBounds:
         lb = gh_lower_bound(cycle_space(4), cycle_space(6))
         assert lb >= 0.5  # half the diameter gap
 
+    @pytest.mark.parametrize("empty_first", [True, False])
+    def test_empty_space_is_usage_error(self, empty_first):
+        empty = FiniteMetricSpace(np.zeros((0, 0)))
+        spaces = (empty, cycle_space(4)) if empty_first else (cycle_space(4), empty)
+        with pytest.raises(UsageError, match="empty metric space"):
+            gh_lower_bound(*spaces)
+
     def test_lower_bound_below_exact(self):
         rng = np.random.default_rng(1)
         for _ in range(5):

@@ -18,6 +18,11 @@ class TestValidation:
         with pytest.raises(InvariantError):
             PlanarMap((1, 2, 0), (0, 1, 2), 0)
 
+    @pytest.mark.parametrize("twin", [(-3, 0), (-1, 0), (2, 0)])
+    def test_twin_out_of_range_is_not_an_involution(self, twin):
+        with pytest.raises(InvariantError, match="twin is not an involution"):
+            PlanarMap(twin, (0, 1), 0)
+
     def test_fixed_point_must_be_half_edge(self):
         with pytest.raises(InvariantError):
             PlanarMap((0, 1), (1, 0), 0)

@@ -70,7 +70,8 @@ class TestPlaneTree:
         H.validate()
         assert phi(H) == marked
         loop_diameter(marked.shape)
-        assert len(derived) == len({id(t) for t in derived}) == 2
+        # the map layer walks codes only; loop_diameter derives the shape's parents
+        assert len(derived) == len({id(t) for t in derived}) == 1
 
     @pytest.mark.parametrize(
         "code",
