@@ -24,14 +24,14 @@ import csv
 import io
 import os
 import tempfile
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import asdict, dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import InvariantError, SizeGuardError, UsageError
-from .gw import OffspringDistribution, b_n_of, stable_mu
-from .halin import HalinMap
+from .gw import b_n_of, stable_mu
+from .halin import HalinMap, n_tree_darts
 from .looptree import LoopGraph, loop_diameter, map_graph
 from .plane_tree import MarkedTree, PlaneTree, lukasiewicz
 
@@ -48,51 +48,52 @@ class ScalingRunConfig:
     map_diameter_max_n: int = _MAP_DIAMETER_MAX_N
 
     def __post_init__(self):
-        if not self.sizes or any(n < 1 for n in self.sizes):
-            raise UsageError("sizes must be positive")
+        if not self.sizes or any(n < 2 for n in self.sizes):
+            raise UsageError("sizes must be at least 2")
+        if len(set(self.sizes)) != len(self.sizes):
+            raise UsageError("sizes must be distinct")
         if self.samples_per_size < 1:
             raise UsageError("samples_per_size must be positive")
         if not (self.alpha and 1 < self.alpha < 2):
             raise UsageError("alpha must lie in (1, 2)")
 
 
-def _cell_rng(seed: int, n: int, sample: int) -> tuple[int, np.random.Generator]:
-    ss = np.random.SeedSequence([seed, n, sample])
-    return int(ss.generate_state(1)[0]), np.random.default_rng(ss)
+def _cells(cfg: ScalingRunConfig) -> Iterator[tuple[int, float, int, int, np.random.Generator, PlaneTree]]:
+    """The grid's cells in order, as (n, b_n, sample, cell seed, rng,
+    tree): the tree is drawn from the cell's own generator, which the
+    caller may go on drawing from."""
+    from .gw import sample_conditioned
+
+    mu = stable_mu(cfg.alpha)
+    for n in cfg.sizes:
+        bn = b_n_of(mu, n)
+        for sample in range(cfg.samples_per_size):
+            ss = np.random.SeedSequence([cfg.seed, n, sample])
+            rng = np.random.default_rng(ss)
+            tree = sample_conditioned(mu, n, rng)
+            if tree.zeta != n or sum(tree.code) != n - 1:
+                raise InvariantError("sampled code is not a valid tree of size n")
+            yield n, bn, sample, int(ss.generate_state(1)[0]), rng, tree
 
 
 def scaling_run(cfg: ScalingRunConfig) -> dict:
     """Run the experiment grid; returns rows, per-size medians and the
     regression summary."""
-    mu = stable_mu(cfg.alpha)
     rows: list[dict] = []
-    for n in cfg.sizes:
-        bn = b_n_of(mu, n)
-        for sample in range(cfg.samples_per_size):
-            cell_seed, rng = _cell_rng(cfg.seed, n, sample)
-            tree = _sample_checked(mu, n, rng)
-            row = {
-                "n": n,
-                "seed": cell_seed,
-                "sample": sample,
-                "height": tree.height(),
-                "diam_loop": loop_diameter(tree),
-                "max_jump": max(tree.code),
-                "b_n": bn,
-            }
-            if n <= cfg.map_diameter_max_n:
-                row["diam_map"] = _paired_map_diameter(tree, rng, row)
-            rows.append(row)
+    for n, bn, sample, cell_seed, rng, tree in _cells(cfg):
+        row = {
+            "n": n,
+            "seed": cell_seed,
+            "sample": sample,
+            "height": tree.height(),
+            "diam_loop": loop_diameter(tree),
+            "max_jump": max(tree.code),
+            "b_n": bn,
+        }
+        if n <= cfg.map_diameter_max_n:
+            row["diam_map"] = _paired_map_diameter(tree, rng, row)
+        rows.append(row)
     return {"config": _config_dict(cfg), "rows": rows, "summary": _summarize(rows, cfg)}
-
-
-def _sample_checked(mu: OffspringDistribution, n: int, rng: np.random.Generator) -> PlaneTree:
-    from .gw import sample_conditioned
-
-    tree = sample_conditioned(mu, n, rng)
-    if tree.zeta != n or sum(tree.code) != n - 1:
-        raise InvariantError("sampled code is not a valid tree of size n")
-    return tree
 
 
 def mark_uniformly(tree: PlaneTree, rng: np.random.Generator) -> tuple[MarkedTree, HalinMap]:
@@ -155,19 +156,13 @@ def lukasiewicz_profile(cfg: ScalingRunConfig) -> dict:
     distances between consecutive sizes reported as a stability check."""
     from scipy.stats import ks_2samp
 
-    mu = stable_mu(cfg.alpha)
     stats: dict[int, dict[str, list[float]]] = {}
-    for n in cfg.sizes:
-        bn = b_n_of(mu, n)
-        acc = {"max_w": [], "max_jump": [], "pre_final": []}
-        for sample in range(cfg.samples_per_size):
-            _, rng = _cell_rng(cfg.seed, n, sample)
-            tree = _sample_checked(mu, n, rng)
-            walk = lukasiewicz(tree)
-            acc["max_w"].append(max(walk) / bn)
-            acc["max_jump"].append(max(tree.code) / bn)
-            acc["pre_final"].append(walk[-2] / bn)
-        stats[n] = acc
+    for n, bn, _, _, _, tree in _cells(cfg):
+        walk = lukasiewicz(tree)
+        acc = stats.setdefault(n, {"max_w": [], "max_jump": [], "pre_final": []})
+        acc["max_w"].append(max(walk) / bn)
+        acc["max_jump"].append(max(tree.code) / bn)
+        acc["pre_final"].append(walk[-2] / bn)
     sizes = sorted(stats)
     ks = []
     for a, b in zip(sizes, sizes[1:]):
@@ -209,18 +204,17 @@ def render(obj) -> str:
         lines += ["  %d -- %d;" % e for e in sorted(obj.edges)]
         return "\n".join(lines + ["}"])
     if isinstance(obj, HalinMap):
-        m = obj.map
+        m, code = obj.map, obj.tree.code
         _guard(m.n_vertices)
-        boundary = {m.edge_of(d) for leaf in obj.tree.leaves() for d in m.vertices[leaf]}
+        base = n_tree_darts(obj.tree.zeta)
         lines = ["graph halin {"]
         lines += ["  %d;" % v for v in range(m.n_vertices)]
         for d, t in m.edges():
-            style = ' [color="red"]' if (d, t) in boundary else ""
+            # red: the leaf cycle, and the tree edge above each leaf d // 2 + 1
+            style = ' [color="red"]' if d >= base or code[d // 2 + 1] == 0 else ""
             lines.append("  %d -- %d%s;" % (m.vertex_of[d], m.vertex_of[t], style))
-        for d in range(m.n_darts):
-            if m.twin[d] == d:
-                lines.append('  h [shape="point"];')
-                lines.append('  %d -- h [style="dashed"];' % m.vertex_of[d])
+        lines.append('  h [shape="point"];')
+        lines.append('  %d -- h [style="dashed"];' % m.vertex_of[m.half_edge_dart])
         return "\n".join(lines + ["}"])
     raise UsageError("cannot render object of type %s" % type(obj).__name__)
 
@@ -259,10 +253,4 @@ def atomic_write(path: str, text: str) -> None:
 
 
 def _config_dict(cfg: ScalingRunConfig) -> dict:
-    return {
-        "sizes": list(cfg.sizes),
-        "samples_per_size": cfg.samples_per_size,
-        "seed": cfg.seed,
-        "alpha": cfg.alpha,
-        "map_diameter_max_n": cfg.map_diameter_max_n,
-    }
+    return {**asdict(cfg), "sizes": list(cfg.sizes)}

@@ -131,7 +131,15 @@ def gh_exact(
     x: FiniteMetricSpace, y: FiniteMetricSpace, budget: int = 10**9
 ) -> float:
     """Exact Gromov-Hausdorff distance by branch-and-bound over pairs
-    of functions f: X -> Y, g: Y -> X."""
+    of functions f: X -> Y, g: Y -> X.
+
+    The correspondence grows one pair (a, b) at a time: (i, f(i)) for
+    the points of X, then (g(j), j) for the points of Y.  A pair costs
+    its worst |d_X(a, a') - d_Y(b, b')| over the pairs already fixed,
+    read as d_X(a, .) and d_Y(b, .); on a CSV matrix symmetric only
+    within the 1e-9 slack, the distance can come out up to 2e-9 away
+    from one read the other way round.
+    """
     nx, ny = x.size, y.size
     if nx == 0 or ny == 0:
         raise UsageError("empty metric space")
@@ -140,12 +148,10 @@ def gh_exact(
         raise BudgetExceededError(
             "search space %.2e exceeds budget; use bounds instead" % est
         )
-    dx, dy = x.dist, y.dist
+    dx, dy = x.dist.tolist(), y.dist.tolist()
     # incumbent: everything matched to one point on each side
     incumbent = max(x.diameter, y.diameter)
-    # variables: images u_0..u_{nx-1} in Y, then preimages v_0..v_{ny-1} in X
-    u = np.full(nx, -1, dtype=int)
-    v = np.full(ny, -1, dtype=int)
+    pairs: list[tuple[int, int]] = []
     evals = 0
 
     def rec(pos: int, cur: float) -> None:
@@ -155,40 +161,21 @@ def gh_exact(
         if pos == nx + ny:
             incumbent = cur
             return
-        if pos < nx:
-            i = pos
-            for c in range(ny):
-                evals += 1
-                if evals > budget:
-                    raise BudgetExceededError("distortion evaluation budget exceeded")
-                m = cur
-                for j in range(i):
-                    m = max(m, abs(dx[i, j] - dy[c, u[j]]))
-                if m < incumbent:
-                    u[i] = c
-                    rec(pos + 1, m)
-                u[i] = -1
-        else:
-            j = pos - nx
-            for c in range(nx):
-                evals += 1
-                if evals > budget:
-                    raise BudgetExceededError("distortion evaluation budget exceeded")
-                m = cur
-                # cross terms against all fixed images, and pair terms
-                for i in range(nx):
-                    m = max(m, abs(dx[i, c] - dy[u[i], j]))
-                    if m >= incumbent:
-                        break
-                else:
-                    for jj in range(j):
-                        m = max(m, abs(dx[c, v[jj]] - dy[j, jj]))
-                        if m >= incumbent:
-                            break
-                if m < incumbent:
-                    v[j] = c
-                    rec(pos + 1, m)
-                v[j] = -1
+        candidates = [(pos, c) for c in range(ny)] if pos < nx else [(c, pos - nx) for c in range(nx)]
+        for a, b in candidates:
+            evals += 1
+            if evals > budget:
+                raise BudgetExceededError("distortion evaluation budget exceeded")
+            ra, rb = dx[a], dy[b]
+            m = cur
+            for a2, b2 in pairs:
+                m = max(m, abs(ra[a2] - rb[b2]))
+                if m >= incumbent:
+                    break
+            if m < incumbent:
+                pairs.append((a, b))
+                rec(pos + 1, m)
+                pairs.pop()
 
     rec(0, 0.0)
     return 0.5 * incumbent

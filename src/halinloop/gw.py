@@ -38,6 +38,8 @@ from .plane_tree import PlaneTree
 
 # items (trees x n) held by one call of _SizeLaw.sample_counts
 _CHUNK_ITEMS = 1 << 16
+# mu_from_weights searches b in (0, _B_TOP), just inside the radius of convergence 1
+_B_TOP = 1 - 1e-12
 
 
 @dataclass(frozen=True)
@@ -75,16 +77,14 @@ class OffspringDistribution:
             raise UsageError("distribution is not critical (mean %.12f)" % self.mean)
 
 
-def mu_from_weights(
-    w: Callable[[int], float], radius: float = 1.0, tol: float = 1e-13
-) -> OffspringDistribution:
+def mu_from_weights(w: Callable[[int], float]) -> OffspringDistribution:
     """Critical offspring distribution mu(k) = a b^k (k+1) w(k+4).
 
-    a is forced by normalization; b is solved by bisection so the mean
-    is one.  The mean is strictly increasing in b on (0, radius), so a
-    critical b inside the radius of convergence either exists or the
-    supremum of the mean stays below one, which is reported as an
-    error.
+    a is forced by normalization; b is solved by bisection on (0, 1),
+    taking the radius of convergence to be 1, so the mean is one.  The
+    mean is strictly increasing in b there, so a critical b inside the
+    radius either exists or the supremum of the mean stays below one,
+    which is reported as an error.
     """
 
     def sums(b: float) -> tuple[float, float]:
@@ -105,8 +105,7 @@ def mu_from_weights(
             raise UsageError("weight sequence vanishes on all reachable degrees")
         return m / s
 
-    top = radius * (1 - 1e-12)
-    lo, hi = 0.0, top
+    lo, hi = 0.0, _B_TOP
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mean_at(mid) < 1.0:
@@ -117,8 +116,8 @@ def mu_from_weights(
     s, m = sums(b)
     # the probe at the radius can take 200,000 terms, so it runs only
     # when the bisection did not reach a critical b
-    if m / s < 1.0 - tol:
-        sup = mean_at(top)
+    if m / s < 1.0 - 1e-13:
+        sup = mean_at(_B_TOP)
         if sup < 1.0:
             raise UsageError(
                 "no critical b inside the radius of convergence "
@@ -336,7 +335,7 @@ def exact_conditioned_masses(mu: OffspringDistribution, n: int) -> dict[tuple[in
     from .plane_tree import enumerate_trees
 
     masses = {}
-    for t in enumerate_trees(n, force=True):
+    for t in enumerate_trees(n):
         m = 1.0
         for k in t.code:
             m *= mu.pmf(k)

@@ -44,12 +44,10 @@ class LoopGraph:
         # shorten a path
         from scipy import sparse
 
-        rows, cols = [], []
-        for a, b in self.edges:
-            if a != b:
-                rows += [a, b]
-                cols += [b, a]
-        return sparse.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(self.n, self.n)).tocsr()
+        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        ends = ends[ends[:, 0] != ends[:, 1]]
+        rows, cols = ends.ravel(), ends[:, ::-1].ravel()
+        return sparse.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(self.n, self.n)).tocsr()
 
     def distances_from(self, sources) -> np.ndarray:
         """BFS distances from each source; rows follow ``sources``."""
@@ -264,10 +262,6 @@ def hat_H(H: HalinMap) -> tuple[FiniteMetricSpace, tuple[int, ...]]:
 
 def hat_L(marked: MarkedTree) -> FiniteMetricSpace:
     """Root-shifted looptree metric on the vertex set of the tree."""
-    return LoopGraph(marked.shape.zeta, hat_L_graph(marked)).metric_space()
-
-
-def hat_L_graph(marked: MarkedTree) -> tuple[tuple[int, int], ...]:
     ch = marked.shape.children()
     u = ch[0]
     edges: list[tuple[int, int]] = []
@@ -278,7 +272,7 @@ def hat_L_graph(marked: MarkedTree) -> tuple[tuple[int, int], ...]:
         # the last root subtree moves into slot s, the ones after it shift on
         s = min(marked.marks[0] + 1, len(u))
         _cycle_edges(edges, 0, u[: s - 1] + (u[-1],) + u[s - 1 : -1])
-    return tuple(edges)
+    return LoopGraph(marked.shape.zeta, tuple(edges)).metric_space()
 
 
 def check_lemma_bound(H: HalinMap, exact: bool | None = None) -> dict:

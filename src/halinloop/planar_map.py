@@ -127,11 +127,6 @@ class PlanarMap:
 
     # -- edge helpers --------------------------------------------------------
 
-    def edge_of(self, dart: int) -> tuple[int, int]:
-        """Canonical (min, max) dart pair of the edge containing dart."""
-        t = self.twin[dart]
-        return (dart, t) if dart < t else (t, dart)
-
     def edges(self) -> list[tuple[int, int]]:
         return [(d, t) for d, t in enumerate(self.twin) if d < t]
 
@@ -148,15 +143,15 @@ class PlanarMap:
         """
         if not self.twin:
             return ((), (), -1, None)
-        order = {self.root_dart: 0}
-        queue = [self.root_dart]
-        while queue:
-            d = queue.pop(0)
+        # inv lists the darts in BFS order, so it is the inverse labelling
+        order = [-1] * self.n_darts
+        order[self.root_dart] = 0
+        inv = [self.root_dart]
+        for d in inv:
             for e in (self.nxt[d], self.twin[d]):
-                if e not in order:
-                    order[e] = len(order)
-                    queue.append(e)
-        inv = sorted(order, key=order.get)
+                if order[e] < 0:
+                    order[e] = len(inv)
+                    inv.append(e)
         twin = tuple(order[self.twin[d]] for d in inv)
         nxt = tuple(order[self.nxt[d]] for d in inv)
         half = order[self.half_edge_dart] if self.half_edge_dart is not None else None

@@ -52,30 +52,24 @@ class PlaneTree:
         return len(self.code)
 
     @cached_property
-    def _parents(self) -> tuple[int, ...]:
+    def _parents_depths(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         par = [-1] * self.zeta
+        dep = [0] * self.zeta
         slots: list[int] = []  # one entry per unvisited child, deepest on top
         for i, k in enumerate(self.code):
             if i > 0:
-                par[i] = slots.pop()
+                p = par[i] = slots.pop()
+                dep[i] = dep[p] + 1
             slots += [i] * k
-        return tuple(par)
+        return tuple(par), tuple(dep)
 
     @cached_property
     def _children(self) -> tuple[tuple[int, ...], ...]:
         ch: list[list[int]] = [[] for _ in range(self.zeta)]
-        for v, p in enumerate(self._parents):
+        for v, p in enumerate(self.parents()):
             if p >= 0:
                 ch[p].append(v)
         return tuple(map(tuple, ch))
-
-    @cached_property
-    def _depths(self) -> tuple[int, ...]:
-        dep = [0] * self.zeta
-        for v, p in enumerate(self._parents):
-            if p >= 0:
-                dep[v] = dep[p] + 1
-        return tuple(dep)
 
     @cached_property
     def one_leaf_child(self) -> bool:
@@ -98,16 +92,16 @@ class PlaneTree:
 
     def parents(self) -> tuple[int, ...]:
         """Parent index per vertex (-1 for the root)."""
-        return self._parents
+        return self._parents_depths[0]
 
     def children(self) -> tuple[tuple[int, ...], ...]:
         return self._children
 
     def depths(self) -> tuple[int, ...]:
-        return self._depths
+        return self._parents_depths[1]
 
     def height(self) -> int:
-        return max(self._depths)
+        return max(self._parents_depths[1])
 
     def leaves(self) -> list[int]:
         """Leaf vertices in lexicographic order."""
@@ -153,21 +147,14 @@ def enumerate_trees(n: int, force: bool = False):
         raise SizeGuardError("tree enumeration guarded at n <= %d" % TREE_ENUM_GUARD)
 
     def rec(prefix: list[int], walk: int, remaining: int):
-        if remaining == 0:
-            if walk == -1:
-                yield PlaneTree(tuple(prefix))
+        if remaining == 1:
+            # the walk is back at 0 and the last vertex, a leaf, closes it
+            yield PlaneTree((*prefix, 0))
             return
-        for k in range(0, remaining):
-            w = walk + k - 1
-            if remaining > 1 and w < 0:
-                continue
-            if remaining == 1 and w != -1:
-                continue
-            # need enough downward steps left: w <= remaining - 1 always ok
-            if w > remaining - 2 and remaining > 1:
-                continue
+        # the walk stays >= 0 and can still come down to 0 by the last vertex
+        for k in range(max(0, 1 - walk), remaining - walk):
             prefix.append(k)
-            yield from rec(prefix, w, remaining - 1)
+            yield from rec(prefix, walk + k - 1, remaining - 1)
             prefix.pop()
 
     yield from rec([], 0, n)

@@ -251,6 +251,14 @@ class TestExp:
         assert json.loads(json_file.read_text())["config"]["out"] == str(json_file)
         assert sorted(os.listdir(tmp_path)) == ["r.csv", "r.json"]
 
+    @pytest.mark.parametrize("sizes", ["1,2", "4,4"])
+    def test_bad_sizes_are_usage_errors(self, capsys, sizes):
+        for action in ("scaling", "lukasiewicz"):
+            argv = ["exp", action, "--sizes", sizes, "--samples", "3", "--format", "json"]
+            assert run(argv) == EXIT_USAGE
+            out, err = capsys.readouterr()
+            assert out == "" and json.loads(err)["error"] == "usage"
+
     def test_lukasiewicz(self, capout):
         out = capout(
             ["exp", "lukasiewicz", "--sizes", "16,32", "--samples", "5",

@@ -24,6 +24,13 @@ class TestConfig:
         with pytest.raises(UsageError):
             ScalingRunConfig(sizes=())
 
+    @pytest.mark.parametrize("sizes", [(1, 2), (4, 4), (16, 32, 16)])
+    def test_rejects_size_one_and_repeated_sizes(self, sizes):
+        # a size-1 tree has log diameter -inf, and a repeated size would
+        # be summarised as one size
+        with pytest.raises(UsageError):
+            ScalingRunConfig(sizes=sizes)
+
     def test_rejects_bad_alpha(self):
         with pytest.raises(UsageError):
             ScalingRunConfig(sizes=(10,), alpha=2.5)

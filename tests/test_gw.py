@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import zeta
 
-from halinloop.errors import UsageError
+from halinloop.errors import SizeGuardError, UsageError
 from halinloop.gw import (
     OffspringDistribution,
     b_n,
@@ -169,6 +169,10 @@ class TestExactMasses:
         mu = stable_mu(1.5)
         masses = exact_conditioned_masses(mu, 5)
         assert sum(masses.values()) == pytest.approx(1.0)
+
+    def test_enumeration_is_size_guarded(self):
+        with pytest.raises(SizeGuardError):
+            exact_conditioned_masses(mu_from_weights(lambda k: 1.0), 13)
 
     def test_geometric_type_masses_n4(self):
         # mu(k) proportional to (1/3)^k (k+1); conditional masses on the

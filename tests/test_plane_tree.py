@@ -54,15 +54,15 @@ class TestPlaneTree:
         assert all(isinstance(c, tuple) for c in t.children())
 
         derived = []  # keeps each tree alive, so ids stay distinct
-        parents = PlaneTree.__dict__["_parents"].func
+        parents = PlaneTree.__dict__["_parents_depths"].func
 
         def counting(self):
             derived.append(self)
             return parents(self)
 
         prop = cached_property(counting)
-        prop.__set_name__(PlaneTree, "_parents")
-        monkeypatch.setattr(PlaneTree, "_parents", prop)
+        prop.__set_name__(PlaneTree, "_parents_depths")
+        monkeypatch.setattr(PlaneTree, "_parents_depths", prop)
         rng = np.random.default_rng(5)
         shape = sample_conditioned(mu_from_weights(lambda k: 1.0), 40, rng)
         marked = MarkedTree(shape, tuple(int(rng.integers(0, k + 1)) for k in shape.code))
