@@ -452,7 +452,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sizes", default="1024,4096,16384")
     sp.add_argument("--samples", type=int, default=200)
     sp.add_argument("--seed", type=_seed, default=_default_seed())
-    sp.add_argument("--map-diameter-max-n", type=int, default=10_000)
+    sp.add_argument("--map-diameter-max-n", type=int, default=ScalingRunConfig.map_diameter_max_n)
     common(sp, ("text", "json", "csv"))
     sp.set_defaults(func=_cmd_exp)
 

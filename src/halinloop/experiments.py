@@ -115,7 +115,7 @@ def _paired_map_diameter(tree: PlaneTree, rng: np.random.Generator, row: dict) -
 
 
 def _summarize(rows: list[dict], cfg: ScalingRunConfig) -> dict:
-    from scipy.stats import linregress
+    from scipy.stats import linregress, t as t_dist
 
     sizes = sorted({r["n"] for r in rows})
     per_size = {}
@@ -135,10 +135,9 @@ def _summarize(rows: list[dict], cfg: ScalingRunConfig) -> dict:
         ys = np.log([per_size[n]["median_diam_loop"] for n in sizes])
         fit = linregress(xs, ys)
         out["slope"] = float(fit.slope)
-        out["slope_ci95"] = [
-            float(fit.slope - 1.96 * fit.stderr),
-            float(fit.slope + 1.96 * fit.stderr),
-        ]
+        dof = len(sizes) - 2  # residual degrees of freedom; two sizes leave none
+        half = t_dist.ppf(0.975, dof) * fit.stderr if dof else None
+        out["slope_ci95"] = None if half is None else [float(fit.slope - half), float(fit.slope + half)]
         first, last = sizes[0], sizes[-1]
         out["height_decay_ratio"] = (
             per_size[last]["median_height_over_b_n"]

@@ -43,19 +43,15 @@ def _with_leaf_children(marked: MarkedTree) -> tuple[int, ...]:
     """Code of the tree in which every vertex v of ``marked`` gets k_v + 1
     children, a leaf in slot marks[v] and its own children in order
     around it."""
-    code, marks, children = marked.shape.code, marked.marks, marked.shape.children()
     out: list[int] = []
-
-    def emit(v: int) -> None:
-        out.append(code[v] + 1)
-        for j, c in enumerate(children[v]):
-            if j == marks[v]:
-                out.append(0)
-            emit(c)
-        if marks[v] == code[v]:
+    todo = [False]  # what is still to come, last first: a leaf (True) or a subtree
+    for k, m in zip(marked.shape.code, marked.marks):
+        todo.pop()  # this vertex's subtree
+        out.append(k + 1)
+        todo += [False] * (k - m) + [True] + [False] * m
+        while todo and todo[-1]:
+            todo.pop()
             out.append(0)
-
-    emit(0)
     return tuple(out)
 
 

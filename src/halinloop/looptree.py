@@ -153,10 +153,9 @@ def loop_diameter(tree: PlaneTree) -> int:
     hanging height below position p (position 0 is the cycle's owner,
     with a_0 = 0).  Following the looptree coding by the Lukasiewicz
     walk W (Curien-Kortchemski, *Random stable looptrees*, EJP 19,
-    2014), every quantity is read off W and the parent array:
+    2014), every quantity is read off the tree's ``structure``: W, the
+    subtree ends tau (v's subtree is [v, tau_v)) and the parents.
 
-    - v's subtree is [v, tau_v), tau_v the first j > v with
-      W_j = W_v - 1, found for all v by one sort and one binary search;
     - child j of p sits at position r_j = W_p + k_p - W_j on p's cycle
       and is min(r_j, k_p + 1 - r_j) steps from p; a cumulative sum of
       these steps over [v, tau_v) gives the loop depth D;
@@ -173,23 +172,14 @@ def loop_diameter(tree: PlaneTree) -> int:
     n = tree.zeta
     if n == 1:
         return 0
-    # int32 arrays, each deleted once used: peak memory matters at n = 2^20
+    # int32 arrays, the local ones deleted once used: peak memory matters at n = 2^20
     i32 = np.int32
+    walk, tau, par = tree.structure.walk, tree.structure.tau, tree.structure.parent[1:]
     k = np.fromiter(tree.code, i32, n)
-    walk = np.zeros(n + 1, i32)
-    np.cumsum(k - 1, out=walk[1:])
-    # keys sort by (walk, index); v's query key, its own key minus n,
-    # lands on the first j > v one level down; key[0] is j = n
-    key = (walk + np.int64(1)) * (n + 1) + np.arange(n + 1)
-    key.sort()
-    tau = np.empty(n, i32)
-    tau[key[1:] % (n + 1)] = key[np.searchsorted(key, key[1:] - n)] % (n + 1)
-    del key
-    par = np.fromiter(tree.parents(), i32, n)[1:]
     kp = k[par]
     rank = walk[par] + kp - walk[1:n]
     step = np.minimum(rank, kp + 1 - rank)
-    del kp, walk
+    del kp
     # float64 sums of integers below 2^53 are exact
     delta = np.bincount(tau[1:], weights=-step, minlength=n + 1)[:n]
     delta[1:] += step
@@ -198,7 +188,7 @@ def loop_diameter(tree: PlaneTree) -> int:
     internal = np.flatnonzero(k).astype(i32)
     hang = np.zeros(n, i32)
     hang[internal] = _range_max(depth, internal, tau[internal]) - depth[internal]
-    del depth, tau
+    del depth
     size = k[internal] + 1
     start = np.zeros(n, i32)
     start[internal] = np.cumsum(size, dtype=i32) - size

@@ -34,11 +34,8 @@ class PlanarMap:
 
     def _validate(self) -> None:
         d = self.n_darts
-        if d == 0:
-            # the edgeless single-vertex map
-            if self.root_dart != -1 or self.half_edge_dart is not None:
-                raise InvariantError("empty map must have root_dart == -1")
-            return
+        if not 0 <= self.root_dart < d:
+            raise InvariantError("root dart out of range")
         twin, nxt, half = self.twin, self.nxt, self.half_edge_dart
         if sorted(nxt) != list(range(d)):
             raise InvariantError("nxt is not a permutation")
@@ -49,8 +46,6 @@ class PlanarMap:
                 raise InvariantError("fixed point of twin that is not the half-edge")
         if half is not None and twin[half] != half:
             raise InvariantError("half-edge dart must be its own twin")
-        if not 0 <= self.root_dart < d:
-            raise InvariantError("root dart out of range")
         # connectivity: <twin, nxt> acts transitively on darts; each pop
         # walks a whole nxt-orbit and queues the twins along it
         seen = bytearray(d)
@@ -141,8 +136,6 @@ class PlanarMap:
         tuple then also records which face is unbounded, which can
         separate maps that are isomorphic on the sphere.
         """
-        if not self.twin:
-            return ((), (), -1, None)
         # inv lists the darts in BFS order, so it is the inverse labelling
         order = [-1] * self.n_darts
         order[self.root_dart] = 0
@@ -174,10 +167,7 @@ class PlanarMap:
 
 def _orbits(perm) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """The cycles of a permutation, each from its smallest element and
-    numbered in that order, and the cycle of each element; the empty
-    permutation has one empty cycle (the single-vertex map)."""
-    if not perm:
-        return ((),), ()
+    numbered in that order, and the cycle of each element."""
     of = [-1] * len(perm)
     out = []
     for start, k in enumerate(of):

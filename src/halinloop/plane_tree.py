@@ -5,15 +5,19 @@ A tree with vertices v(0) < v(1) < ... < v(n-1) in lexicographic
 (k_{v(0)}, ..., k_{v(n-1)}).  This is exactly the step sequence of the
 tree's encoding walk, so validity is a prefix condition on partial sums
 of (k - 1).  Ulam-Harris labels are derived views and never stored;
-parents, children and depths are derived once per tree and cached.
+walk, subtree ends, depths and parents are derived from the walk once
+per tree, on int32 arrays (``PlaneTree.structure``), and cached.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from .errors import InvariantError, SizeGuardError
 
@@ -35,6 +39,9 @@ def _check_code(code: tuple[int, ...]) -> None:
         raise InvariantError("code does not sum to n-1")
 
 
+TreeStructure = namedtuple("TreeStructure", "walk tau depth parent")
+
+
 @dataclass(frozen=True)
 class PlaneTree:
     """A rooted plane tree; ``code[i]`` is the child count of the i-th
@@ -52,23 +59,43 @@ class PlaneTree:
         return len(self.code)
 
     @cached_property
-    def _parents_depths(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        par = [-1] * self.zeta
-        dep = [0] * self.zeta
-        slots: list[int] = []  # one entry per unvisited child, deepest on top
-        for i, k in enumerate(self.code):
-            if i > 0:
-                p = par[i] = slots.pop()
-                dep[i] = dep[p] + 1
-            slots += [i] * k
-        return tuple(par), tuple(dep)
+    def structure(self) -> TreeStructure:
+        """(walk, tau, depth, parent) as read-only int32 arrays, read off
+        the Lukasiewicz walk W_0 = 0, W_{j+1} = W_j + k_j - 1 (Le Gall, *Random
+        trees and applications*, 2005); ``walk`` has n + 1 entries.  v's
+        subtree is [v, tau_v), tau_v the first j > v with W_j = W_v - 1, so
+        v's depth counts the u < v with tau_u > v.  Sorted stably by depth,
+        siblings are consecutive and the first follows their parent.
+        """
+        n = self.zeta
+        k = np.fromiter(self.code, np.int32, n)
+        walk = np.zeros(n + 1, np.int32)
+        np.cumsum(k - 1, out=walk[1:])
+        # key_v - n finds the first j > v one level down; key[0] is j = n
+        key = (walk + np.int64(1)) * (n + 1) + np.arange(n + 1)
+        key.sort()
+        tau = np.empty(n, np.int32)
+        tau[key[1:] % (n + 1)] = key[np.searchsorted(key, key[1:] - n)] % (n + 1)
+        del key
+        depth = (np.arange(n) - np.cumsum(np.bincount(tau))[:n]).astype(np.int32)
+        # non-root vertices by depth, in vertex order within a depth
+        order = np.argsort(depth, kind="stable")[1:]
+        first = np.where(k[order - 1] > 0, np.arange(n - 1), 0)
+        parent = np.full(n, -1, np.int32)
+        parent[order] = order[np.maximum.accumulate(first)] - 1
+        for a in (walk, tau, depth, parent):
+            a.flags.writeable = False  # every reader of the cache shares them
+        return TreeStructure(walk, tau, depth, parent)
+
+    @cached_property
+    def _parents(self) -> tuple[int, ...]:
+        return tuple(self.structure.parent.tolist())
 
     @cached_property
     def _children(self) -> tuple[tuple[int, ...], ...]:
         ch: list[list[int]] = [[] for _ in range(self.zeta)]
-        for v, p in enumerate(self.parents()):
-            if p >= 0:
-                ch[p].append(v)
+        for v, p in enumerate(self._parents[1:], 1):
+            ch[p].append(v)
         return tuple(map(tuple, ch))
 
     @cached_property
@@ -92,16 +119,13 @@ class PlaneTree:
 
     def parents(self) -> tuple[int, ...]:
         """Parent index per vertex (-1 for the root)."""
-        return self._parents_depths[0]
+        return self._parents
 
     def children(self) -> tuple[tuple[int, ...], ...]:
         return self._children
 
-    def depths(self) -> tuple[int, ...]:
-        return self._parents_depths[1]
-
     def height(self) -> int:
-        return max(self._parents_depths[1])
+        return int(self.structure.depth.max())
 
     def leaves(self) -> list[int]:
         """Leaf vertices in lexicographic order."""
@@ -136,7 +160,7 @@ class MarkedTree:
 def lukasiewicz(tree: PlaneTree) -> tuple[int, ...]:
     """The Lukasiewicz walk: partial sums of (child count - 1) from 0;
     it stays non-negative until its last step, to -1."""
-    return (0, *itertools.accumulate(k - 1 for k in tree.code))
+    return tuple(tree.structure.walk.tolist())
 
 
 def enumerate_trees(n: int, force: bool = False):

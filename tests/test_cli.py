@@ -176,7 +176,7 @@ class TestSampleAndMu:
          "71c564188dc7b1a2defb7b00f039b624187b52b1ea8984939ba47d5aebfa0789"),
         (["exp", "scaling", "--sizes", "64,256,1024", "--samples", "5", "--seed", "42",
           "--format", "json"],
-         "5e329ddb07bce8298cd2cc51d2ac21bb50ea2ad59e9b10440c38bf4b0c8a75ba"),
+         "efa77c9944d951fd6b33a93621ac422a5258bc4c9f7e3f25dba4bd4c5ef8f8a8"),
     ])
     def test_stdout_is_pinned(self, capout, monkeypatch, argv, digest):
         # sha256 of the whole stdout; the JSON digests are of the output

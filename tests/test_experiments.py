@@ -75,9 +75,25 @@ class TestScalingRun:
             sizes=(64, 256), samples_per_size=10, seed=3, map_diameter_max_n=0
         )
         s = scaling_run(cfg)["summary"]
-        assert "slope" in s and len(s["slope_ci95"]) == 2
+        # two sizes leave the fit no residual degree of freedom
+        assert "slope" in s and s["slope_ci95"] is None
         assert s["expected_slope"] == pytest.approx(1 / 1.5)
         assert s["height_decay_ratio"] > 0
+
+    def test_slope_interval_uses_the_t_quantile(self):
+        from scipy.stats import linregress
+
+        cfg = ScalingRunConfig(
+            sizes=(64, 256, 1024), samples_per_size=5, seed=42, map_diameter_max_n=0
+        )
+        s = scaling_run(cfg)["summary"]
+        xs = np.log([64.0, 256.0, 1024.0])
+        ys = np.log([s["per_size"][n]["median_diam_loop"] for n in (64, 256, 1024)])
+        fit = linregress(xs, ys)
+        lo, hi = s["slope_ci95"]
+        assert (lo + hi) / 2 == pytest.approx(s["slope"])
+        # one residual degree of freedom: t_{0.975, 1} = 12.706
+        assert (hi - lo) / 2 == pytest.approx(12.7062047 * fit.stderr)
 
     def test_csv_written_atomically(self, tmp_path, capsys):
         # The CLI is the one writer of run files; it goes through atomic_write.

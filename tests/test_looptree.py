@@ -54,7 +54,7 @@ class TestLoopConstruction:
         for t in enumerate_trees(7):
             g = loop(t)
             d_loop = g.all_distances()
-            parents, depths, code = t.parents(), t.depths(), t.code
+            parents, code = t.parents(), t.code
 
             def up_cost(x):
                 # moving from x to its parent stays on the parent's cycle

@@ -37,11 +37,9 @@ class TestValidation:
             PlanarMap((1, 0, 3, 2), (1, 0, 3, 2), 0)
 
     def test_empty_map(self):
-        m = PlanarMap((), (), -1)
-        assert m.n_darts == 0
-        assert m.n_edges == 0
-        assert m.vertices == ((),)
-        assert m.faces == ((),)
+        # every map the package builds has an edge; the edgeless one is rejected
+        with pytest.raises(InvariantError, match="root dart out of range"):
+            PlanarMap((), (), -1)
 
 
 class TestOrbitsAndEuler:

@@ -7,6 +7,7 @@ import pytest
 from halinloop.bijection import phi, phi_inverse
 from halinloop.errors import InvariantError, SizeGuardError
 from halinloop.gw import mu_from_weights, sample_conditioned
+from halinloop.halin import enumerate_halin
 from halinloop.looptree import loop_diameter
 from halinloop.plane_tree import (
     MarkedTree,
@@ -43,7 +44,8 @@ class TestPlaneTree:
         t = PlaneTree((2, 2, 0, 0, 0))
         assert t.parents() == (-1, 0, 1, 1, 0)
         assert t.children() == ((1, 4), (2, 3), (), (), ())
-        assert t.depths() == (0, 1, 2, 2, 1)
+        assert t.structure.depth.tolist() == [0, 1, 2, 2, 1]
+        assert t.structure.tau.tolist() == [5, 4, 3, 4, 5]
         assert t.height() == 2
         assert t.leaf_count() == 3
 
@@ -53,16 +55,7 @@ class TestPlaneTree:
         assert isinstance(t.children(), tuple)
         assert all(isinstance(c, tuple) for c in t.children())
 
-        derived = []  # keeps each tree alive, so ids stay distinct
-        parents = PlaneTree.__dict__["_parents_depths"].func
-
-        def counting(self):
-            derived.append(self)
-            return parents(self)
-
-        prop = cached_property(counting)
-        prop.__set_name__(PlaneTree, "_parents_depths")
-        monkeypatch.setattr(PlaneTree, "_parents_depths", prop)
+        derived = self._count_derivations(monkeypatch)
         rng = np.random.default_rng(5)
         shape = sample_conditioned(mu_from_weights(lambda k: 1.0), 40, rng)
         marked = MarkedTree(shape, tuple(int(rng.integers(0, k + 1)) for k in shape.code))
@@ -70,8 +63,32 @@ class TestPlaneTree:
         H.validate()
         assert phi(H) == marked
         loop_diameter(marked.shape)
-        # the map layer walks codes only; loop_diameter derives the shape's parents
+        # the map layer walks codes only; loop_diameter derives the shape's structure
         assert len(derived) == len({id(t) for t in derived}) == 1
+
+    def test_map_layer_derives_no_structure(self, monkeypatch):
+        derived = self._count_derivations(monkeypatch)
+        maps = list(enumerate_halin(5))
+        for H in maps:
+            H.validate()
+            assert phi_inverse(phi(H)).tree == H.tree
+        assert len(maps) == 143 and derived == []
+
+    @staticmethod
+    def _count_derivations(monkeypatch) -> list:
+        """Trees whose ``structure`` is derived from now on; the list keeps
+        each tree alive, so ids stay distinct."""
+        derived = []
+        structure = PlaneTree.__dict__["structure"].func
+
+        def counting(self):
+            derived.append(self)
+            return structure(self)
+
+        prop = cached_property(counting)
+        prop.__set_name__(PlaneTree, "structure")
+        monkeypatch.setattr(PlaneTree, "structure", prop)
+        return derived
 
     @pytest.mark.parametrize(
         "code",

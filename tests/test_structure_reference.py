@@ -1,0 +1,73 @@
+"""``PlaneTree.structure`` and the stack walk in ``halin._with_leaf_children``
+against the code they replaced, kept here as ``_reference`` functions: the
+Python slot stack that gave parents and depths, and the recursion over
+``children()`` that inserted the leaf children."""
+
+from itertools import accumulate
+
+import numpy as np
+import pytest
+
+from halinloop.gw import mu_from_weights, sample_conditioned, stable_mu
+from halinloop.halin import _with_leaf_children
+from halinloop.plane_tree import enumerate_marked, enumerate_trees, lukasiewicz
+
+
+def parents_depths_reference(code):
+    """Parent and depth per vertex from a stack holding one entry per
+    unvisited child, deepest on top."""
+    par = [-1] * len(code)
+    dep = [0] * len(code)
+    slots = []
+    for i, k in enumerate(code):
+        if i > 0:
+            p = par[i] = slots.pop()
+            dep[i] = dep[p] + 1
+        slots += [i] * k
+    return tuple(par), tuple(dep)
+
+
+def with_leaf_children_reference(marked):
+    """Leaf insertion by recursion over the shape's children."""
+    code, marks, children = marked.shape.code, marked.marks, marked.shape.children()
+    out = []
+
+    def emit(v):
+        out.append(code[v] + 1)
+        for j, c in enumerate(children[v]):
+            if j == marks[v]:
+                out.append(0)
+            emit(c)
+        if marks[v] == code[v]:
+            out.append(0)
+
+    emit(0)
+    return tuple(out)
+
+
+def _assert_matches_reference(tree):
+    par, dep = parents_depths_reference(tree.code)
+    assert tree.parents() == par
+    assert tree.structure.depth.tolist() == list(dep)
+    assert tree.height() == max(dep)
+    assert lukasiewicz(tree) == (0, *accumulate(k - 1 for k in tree.code))
+
+
+def test_structure_matches_reference_on_every_small_tree():
+    for n in range(1, 11):
+        for tree in enumerate_trees(n):
+            _assert_matches_reference(tree)
+
+
+@pytest.mark.parametrize("n", [64, 1024, 2**16])
+@pytest.mark.parametrize("law", ["uniform", "stable 1.5", "stable 1.2"])
+def test_structure_matches_reference_on_sampled_trees(n, law):
+    mu = mu_from_weights(lambda k: 1.0) if law == "uniform" else stable_mu(float(law.split()[1]))
+    for s in range(2 if n == 2**16 else 10):
+        _assert_matches_reference(sample_conditioned(mu, n, np.random.default_rng([s, n])))
+
+
+def test_leaf_insertion_matches_reference_on_every_small_marked_tree():
+    for n in range(1, 9):
+        for marked in enumerate_marked(n):
+            assert _with_leaf_children(marked) == with_leaf_children_reference(marked)
