@@ -263,11 +263,10 @@ def _cmd_bij(args) -> dict:
 
 
 def _cmd_gh(args) -> dict:
-    from .gh_metric import FiniteMetricSpace, gh_exact, gh_lower_bound
+    from .gh_metric import gh_exact, gh_lower_bound
 
     if args.action == "exact" or args.action == "bounds":
-        x = _load_metric(args.a)
-        y = _load_metric(args.b)
+        x, y = _load_metric(args.a), _load_metric(args.b)
         if args.action == "exact":
             g = gh_exact(x, y, budget=args.budget)
             return {"gh": g, "text": "GH=%.6g" % g,
@@ -279,17 +278,12 @@ def _cmd_gh(args) -> dict:
         from .halin import enumerate_halin
         from .looptree import check_lemma_bound
 
-        reports = []
-        lines = []
+        reports, lines = [], []
         for H in enumerate_halin(args.n, force=args.force):
             r = check_lemma_bound(H)
             reports.append(r)
-            if r["gh"] is not None:
-                lines.append("GH=%.6g, bound=%.6g, %s"
-                             % (r["gh"], r["bound"], "OK" if r["ok"] else "FAIL"))
-            else:
-                lines.append("GH<=%.6g, bound=%.6g, %s"
-                             % (r["upper"], r["bound"], "OK" if r["ok"] else "FAIL"))
+            rel, g = ("=", r["gh"]) if r["gh"] is not None else ("<=", r["upper"])
+            lines.append("GH%s%.6g, bound=%.6g, %s" % (rel, g, r["bound"], "OK" if r["ok"] else "FAIL"))
             if not args.exhaustive:
                 break
         return {"reports": reports, "text": "\n".join(lines),

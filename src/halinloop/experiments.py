@@ -33,7 +33,7 @@ from .errors import InvariantError, SizeGuardError, UsageError
 from .gw import b_n_of, stable_mu
 from .halin import HalinMap, n_tree_darts
 from .looptree import LoopGraph, loop_diameter, map_graph
-from .plane_tree import MarkedTree, PlaneTree, lukasiewicz
+from .plane_tree import MarkedTree, PlaneTree
 
 _RENDER_GUARD = 5_000
 _MAP_DIAMETER_MAX_N = 10_000
@@ -71,7 +71,7 @@ def _cells(cfg: ScalingRunConfig) -> Iterator[tuple[int, float, int, int, np.ran
             ss = np.random.SeedSequence([cfg.seed, n, sample])
             rng = np.random.default_rng(ss)
             tree = sample_conditioned(mu, n, rng)
-            if tree.zeta != n or sum(tree.code) != n - 1:
+            if tree.zeta != n or int(tree.counts.sum()) != n - 1:
                 raise InvariantError("sampled code is not a valid tree of size n")
             yield n, bn, sample, int(ss.generate_state(1)[0]), rng, tree
 
@@ -87,7 +87,7 @@ def scaling_run(cfg: ScalingRunConfig) -> dict:
             "sample": sample,
             "height": tree.height(),
             "diam_loop": loop_diameter(tree),
-            "max_jump": max(tree.code),
+            "max_jump": int(tree.counts.max()),
             "b_n": bn,
         }
         if n <= cfg.map_diameter_max_n:
@@ -115,7 +115,7 @@ def _paired_map_diameter(tree: PlaneTree, rng: np.random.Generator, row: dict) -
 
 
 def _summarize(rows: list[dict], cfg: ScalingRunConfig) -> dict:
-    from scipy.stats import linregress, t as t_dist
+    from scipy.special import stdtrit
 
     sizes = sorted({r["n"] for r in rows})
     per_size = {}
@@ -133,11 +133,14 @@ def _summarize(rows: list[dict], cfg: ScalingRunConfig) -> dict:
     if len(sizes) >= 2:
         xs = np.log([float(n) for n in sizes])
         ys = np.log([per_size[n]["median_diam_loop"] for n in sizes])
-        fit = linregress(xs, ys)
-        out["slope"] = float(fit.slope)
+        # least squares as scipy.stats.linregress fits it, r clamped to [-1, 1]
+        ssxm, ssxym, _, ssym = np.cov(xs, ys, bias=1).flat
+        slope = ssxym / ssxm
+        out["slope"] = float(slope)
         dof = len(sizes) - 2  # residual degrees of freedom; two sizes leave none
-        half = t_dist.ppf(0.975, dof) * fit.stderr if dof else None
-        out["slope_ci95"] = None if half is None else [float(fit.slope - half), float(fit.slope + half)]
+        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0) if ssym else np.nan
+        half = stdtrit(dof, 0.975) * np.sqrt((1 - r**2) * ssym / ssxm / dof) if dof else None
+        out["slope_ci95"] = None if half is None else [float(slope - half), float(slope + half)]
         first, last = sizes[0], sizes[-1]
         out["height_decay_ratio"] = (
             per_size[last]["median_height_over_b_n"]
@@ -157,11 +160,11 @@ def lukasiewicz_profile(cfg: ScalingRunConfig) -> dict:
 
     stats: dict[int, dict[str, list[float]]] = {}
     for n, bn, _, _, _, tree in _cells(cfg):
-        walk = lukasiewicz(tree)
+        walk = tree.structure.walk
         acc = stats.setdefault(n, {"max_w": [], "max_jump": [], "pre_final": []})
-        acc["max_w"].append(max(walk) / bn)
-        acc["max_jump"].append(max(tree.code) / bn)
-        acc["pre_final"].append(walk[-2] / bn)
+        acc["max_w"].append(int(walk.max()) / bn)
+        acc["max_jump"].append(int(tree.counts.max()) / bn)
+        acc["pre_final"].append(int(walk[-2]) / bn)
     sizes = sorted(stats)
     ks = []
     for a, b in zip(sizes, sizes[1:]):

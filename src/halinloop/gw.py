@@ -16,6 +16,8 @@ The split runs one depth at a time over a chunk of trees, one numpy
 pass per block size, so a batch costs about log2(n) passes.  Tree i of
 a chunk reads its own n-1 uniforms, so sample_conditioned_many gives
 the trees repeated sample_conditioned calls would, from the same seed.
+Each chunk's rotated codes are checked as one array and become trees
+through ``PlaneTree.from_rows``; no sampled tree passes the tuple check.
 
 The split law is only as good as the tables.  Against direct
 convolution (n = 1024 and 4096, alpha = 1.5 and uniform weights) their
@@ -315,11 +317,8 @@ def sample_conditioned_many(
         raise UsageError("size %d is outside the support of the total progeny" % n)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     chunk = max(1, _CHUNK_ITEMS // n)
-    return [
-        PlaneTree(tuple(code))
-        for done in range(0, count, chunk)
-        for code in cycle_rotation(law.sample_counts(min(chunk, count - done), rng)).tolist()
-    ]
+    batches = (law.sample_counts(min(chunk, count - done), rng) for done in range(0, count, chunk))
+    return [tree for rows in batches for tree in PlaneTree.from_rows(cycle_rotation(rows))]
 
 
 def sample_conditioned(
@@ -334,12 +333,7 @@ def exact_conditioned_masses(mu: OffspringDistribution, n: int) -> dict[tuple[in
     by enumeration; usable as a goodness-of-fit reference for small n."""
     from .plane_tree import enumerate_trees
 
-    masses = {}
-    for t in enumerate_trees(n):
-        m = 1.0
-        for k in t.code:
-            m *= mu.pmf(k)
-        masses[t.code] = m
+    masses = {t.code: math.prod(map(mu.pmf, t.code)) for t in enumerate_trees(n)}
     total = sum(masses.values())
     if total <= 0:
         raise UsageError("size outside the support of the total progeny")

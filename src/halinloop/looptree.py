@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -44,7 +45,7 @@ class LoopGraph:
         # shorten a path
         from scipy import sparse
 
-        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        ends = np.fromiter(chain.from_iterable(self.edges), np.int64, 2 * len(self.edges)).reshape(-1, 2)
         ends = ends[ends[:, 0] != ends[:, 1]]
         rows, cols = ends.ravel(), ends[:, ::-1].ravel()
         return sparse.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(self.n, self.n)).tocsr()
@@ -175,7 +176,7 @@ def loop_diameter(tree: PlaneTree) -> int:
     # int32 arrays, the local ones deleted once used: peak memory matters at n = 2^20
     i32 = np.int32
     walk, tau, par = tree.structure.walk, tree.structure.tau, tree.structure.parent[1:]
-    k = np.fromiter(tree.code, i32, n)
+    k = tree.counts
     kp = k[par]
     rank = walk[par] + kp - walk[1:n]
     step = np.minimum(rank, kp + 1 - rank)

@@ -37,25 +37,30 @@ class PlanarMap:
         if not 0 <= self.root_dart < d:
             raise InvariantError("root dart out of range")
         twin, nxt, half = self.twin, self.nxt, self.half_edge_dart
-        if sorted(nxt) != list(range(d)):
+        if len(nxt) != d or min(nxt) < 0 or max(nxt) >= d:
             raise InvariantError("nxt is not a permutation")
         for i, t in enumerate(twin):
             if not 0 <= t < d or twin[t] != i:
                 raise InvariantError("twin is not an involution")
             if t == i and i != half:
                 raise InvariantError("fixed point of twin that is not the half-edge")
+        if half is not None and not 0 <= half < d:
+            raise InvariantError("half-edge dart out of range")
         if half is not None and twin[half] != half:
             raise InvariantError("half-edge dart must be its own twin")
-        # connectivity: <twin, nxt> acts transitively on darts; each pop
-        # walks a whole nxt-orbit and queues the twins along it
+        # connectivity: <twin, nxt> acts transitively on darts; each pop walks
+        # a whole nxt-orbit, queues the twins along it and must close where it
+        # began, so once every dart is seen the orbits show nxt is a permutation
         seen = bytearray(d)
         stack = [0]
         while stack:
-            x = stack.pop()
+            x = start = stack.pop()
             while not seen[x]:
                 seen[x] = 1
                 stack.append(twin[x])
                 x = nxt[x]
+            if x != start:
+                raise InvariantError("nxt is not a permutation")
         if 0 in seen:
             raise InvariantError("dart set is not connected")
 

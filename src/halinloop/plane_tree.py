@@ -4,9 +4,12 @@ A tree with vertices v(0) < v(1) < ... < v(n-1) in lexicographic
 (depth-first) order is stored as the sequence of child counts
 (k_{v(0)}, ..., k_{v(n-1)}).  This is exactly the step sequence of the
 tree's encoding walk, so validity is a prefix condition on partial sums
-of (k - 1).  Ulam-Harris labels are derived views and never stored;
-walk, subtree ends, depths and parents are derived from the walk once
-per tree, on int32 arrays (``PlaneTree.structure``), and cached.
+of (k - 1).  Both ways in check it: ``PlaneTree(code)`` (parsed text,
+enumeration, the bijection) by a Python pass over the tuple, and
+``PlaneTree.from_rows`` (sampled batches) by one cumsum along the rows.
+Ulam-Harris labels are derived views and never stored; the int32 code
+(``counts``) and the walk, subtree ends, depths and parents read off it
+(``structure``) are derived once per tree and cached.
 """
 
 from __future__ import annotations
@@ -53,10 +56,33 @@ class PlaneTree:
         object.__setattr__(self, "code", tuple(map(int, self.code)))
         _check_code(self.code)
 
+    @classmethod
+    def from_rows(cls, rows: np.ndarray) -> list[PlaneTree]:
+        """One tree per row of a 2-D integer array of codes; the batch is
+        checked by one cumsum along its rows, not row by row in Python."""
+        rows = np.asarray(rows)
+        if rows.ndim != 2 or rows.shape[1] == 0 or rows.dtype.kind not in "iu":
+            raise InvariantError("need a 2-D integer batch of non-empty codes")
+        rows = rows.astype(np.int64, copy=False)
+        walk = np.cumsum(rows - 1, axis=1)
+        if np.any(rows < 0) or np.any(walk[:, :-1] < 0) or np.any(walk[:, -1] != -1):
+            raise InvariantError("a row is not the code of a tree")
+        trees = [object.__new__(cls) for _ in range(len(rows))]
+        for tree, code in zip(trees, rows.tolist()):
+            object.__setattr__(tree, "code", tuple(code))
+        return trees
+
     @property
     def zeta(self) -> int:
         """Total number of vertices."""
         return len(self.code)
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """The code as a read-only int32 array."""
+        k = np.fromiter(self.code, np.int32, self.zeta)
+        k.flags.writeable = False
+        return k
 
     @cached_property
     def structure(self) -> TreeStructure:
@@ -67,8 +93,7 @@ class PlaneTree:
         v's depth counts the u < v with tau_u > v.  Sorted stably by depth,
         siblings are consecutive and the first follows their parent.
         """
-        n = self.zeta
-        k = np.fromiter(self.code, np.int32, n)
+        n, k = self.zeta, self.counts
         walk = np.zeros(n + 1, np.int32)
         np.cumsum(k - 1, out=walk[1:])
         # key_v - n finds the first j > v one level down; key[0] is j = n

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from halinloop.cli import EXIT_OK, EXIT_USAGE, run
 from halinloop.errors import SizeGuardError, UsageError
 from halinloop.experiments import (
     ScalingRunConfig,
+    _summarize,
     atomic_write,
     lukasiewicz_profile,
     render,
@@ -94,6 +97,42 @@ class TestScalingRun:
         assert (lo + hi) / 2 == pytest.approx(s["slope"])
         # one residual degree of freedom: t_{0.975, 1} = 12.706
         assert (hi - lo) / 2 == pytest.approx(12.7062047 * fit.stderr)
+
+    @pytest.mark.parametrize(
+        "medians",
+        [
+            [3.0, 7.0, 12.0, 40.0],  # a noisy line
+            [2.0, 4.0, 8.0, 16.0],  # exact: r rounds to 1 and is clamped
+            [9.0, 4.0, 2.0],  # falling
+            [5.0, 5.0, 5.0, 5.0, 5.0],  # flat: r is undefined
+            [1.0, 3.0],  # two sizes: no interval
+        ],
+    )
+    def test_fit_is_linregress_bit_for_bit(self, medians):
+        from scipy.stats import linregress, t as t_dist
+
+        sizes = [2**(4 + i) for i in range(len(medians))]
+        rows = [{"n": n, "b_n": 1.0, "diam_loop": d, "height": 1, "max_jump": 1}
+                for n, d in zip(sizes, medians)]
+        s = _summarize(rows, ScalingRunConfig(sizes=tuple(sizes)))
+        fit = linregress(np.log([float(n) for n in sizes]), np.log(medians))
+        assert s["slope"] == float(fit.slope)
+        dof = len(sizes) - 2
+        if not dof:
+            assert s["slope_ci95"] is None
+            return
+        half = t_dist.ppf(0.975, dof) * fit.stderr
+        want = [float(fit.slope - half), float(fit.slope + half)]
+        assert np.array_equal(s["slope_ci95"], want, equal_nan=True)
+
+    def test_scaling_run_leaves_scipy_stats_unloaded(self):
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(run.__code__.co_filename))}
+        code = ("import sys; from halinloop.cli import run; "
+                "assert run(['exp', 'scaling', '--sizes', '64,128,256', '--samples', '5']) == 0; "
+                "assert 'scipy.stats' not in sys.modules, 'scipy.stats loaded'")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
 
     def test_csv_written_atomically(self, tmp_path, capsys):
         # The CLI is the one writer of run files; it goes through atomic_write.

@@ -86,6 +86,12 @@ class TestDistances:
         assert loop(PlaneTree((3, 0, 0, 0))).diameter() == 2  # C4
         assert loop(PlaneTree((5, 0, 0, 0, 0, 0))).diameter() == 3  # C6
 
+    def test_adjacency_drops_loops_and_counts_multi_edges(self):
+        g = LoopGraph(3, ((0, 1), (1, 1), (1, 2), (0, 1)))
+        assert g._csr.toarray().tolist() == [[0, 2, 0], [2, 0, 1], [0, 1, 0]]
+        assert g.all_distances().tolist() == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+        assert LoopGraph(1, ()).diameter() == 0
+
     def test_disconnected_rejected(self):
         g = LoopGraph(3, ((0, 1),))
         with pytest.raises(UsageError):

@@ -31,6 +31,24 @@ class TestValidation:
         with pytest.raises(InvariantError):
             PlanarMap((1, 0), (0, 0), 0)
 
+    def test_connected_non_injective_nxt_rejected(self):
+        # every dart is reached through twin, but nxt sends both darts to 1
+        with pytest.raises(InvariantError, match="nxt is not a permutation"):
+            PlanarMap((1, 0), (1, 1), 0)
+        m = list(enumerate_halin(3))[3].map
+        for d in range(m.n_darts):
+            for e in range(m.n_darts):
+                if m.nxt[d] != m.nxt[e]:
+                    nxt = list(m.nxt)
+                    nxt[d] = m.nxt[e]
+                    with pytest.raises(InvariantError):
+                        PlanarMap(m.twin, nxt, m.root_dart, m.half_edge_dart)
+
+    @pytest.mark.parametrize("half", [5, 2, -1])
+    def test_half_edge_dart_out_of_range(self, half):
+        with pytest.raises(InvariantError, match="half-edge dart out of range"):
+            PlanarMap((1, 0), (0, 1), 0, half)
+
     def test_disconnected_darts_rejected(self):
         # two separate loops at two separate vertices
         with pytest.raises(InvariantError):

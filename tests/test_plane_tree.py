@@ -6,7 +6,15 @@ import pytest
 
 from halinloop.bijection import phi, phi_inverse
 from halinloop.errors import InvariantError, SizeGuardError
-from halinloop.gw import mu_from_weights, sample_conditioned
+from halinloop import plane_tree
+from halinloop.gw import (
+    _size_law,
+    cycle_rotation,
+    mu_from_weights,
+    sample_conditioned,
+    sample_conditioned_many,
+    stable_mu,
+)
 from halinloop.halin import enumerate_halin
 from halinloop.looptree import loop_diameter
 from halinloop.plane_tree import (
@@ -119,6 +127,59 @@ class TestPlaneTree:
         # not a tree code, so PlaneTree rejects them
         with pytest.raises(InvariantError):
             PlaneTree(_code_of_walk(values))
+
+
+_LAWS = {"uniform": lambda: mu_from_weights(lambda k: 1.0), "stable1.5": lambda: stable_mu(1.5)}
+
+
+class TestFromRows:
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[4, -1, 2, 0, 0, 0]],  # a negative entry, the walk otherwise an excursion
+            [[2, 0, 1]],  # prefixes >= 0, but the sum is n - 1 = 2 + 1
+            [[0, 3, 0, 0]],  # the sum is n - 1, but the walk dips below 0 first
+            [[1, 0], [1, 1]],  # one bad row fails the batch
+            [1, 0],  # 1-D
+            np.zeros((3, 0), np.int64),  # no columns
+            [[1.0, 0.0]],  # not integers
+        ],
+    )
+    def test_invalid_batches_rejected(self, rows):
+        with pytest.raises(InvariantError):
+            PlaneTree.from_rows(np.array(rows))
+
+    @pytest.mark.parametrize("law", sorted(_LAWS))
+    @pytest.mark.parametrize("n", [2, 4, 64, 4096])
+    def test_trees_equal_tuple_built_trees(self, law, n):
+        count = 3 if n == 4096 else 50
+        rows = cycle_rotation(_size_law(_LAWS[law](), n).sample_counts(count, np.random.default_rng(n)))
+        trees = PlaneTree.from_rows(rows)
+        assert len(trees) == count
+        for tree, row in zip(trees, rows.tolist()):
+            ref = PlaneTree(tuple(row))
+            assert tree == ref and hash(tree) == hash(ref) and type(tree.code[0]) is int
+            assert tree.counts.tolist() == row
+            for got, want in zip(tree.structure, ref.structure):
+                assert np.array_equal(got, want) and got.dtype == want.dtype
+            assert tree.height() == ref.height()
+            assert loop_diameter(tree) == loop_diameter(ref)
+
+    @pytest.mark.parametrize("law", sorted(_LAWS))
+    def test_sampler_never_runs_the_tuple_check(self, monkeypatch, law):
+        def refuse(code):
+            raise AssertionError("tuple check on a sampled tree")
+
+        monkeypatch.setattr(plane_tree, "_check_code", refuse)
+        for n, count in ((2, 10), (4, 20_000), (64, 100), (4096, 2)):
+            assert len(sample_conditioned_many(_LAWS[law](), n, count, n)) == count
+
+    def test_counts_are_cached_and_read_only(self):
+        for tree in (PlaneTree((2, 1, 0, 0)), *PlaneTree.from_rows(np.array([[2, 1, 0, 0]]))):
+            k = tree.counts
+            assert k is tree.counts and k.dtype == np.int32 and k.tolist() == [2, 1, 0, 0]
+            with pytest.raises(ValueError):
+                k[0] = 5
 
 
 class TestEnumeration:
