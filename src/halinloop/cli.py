@@ -251,15 +251,14 @@ def _cmd_bij(args) -> dict:
         text = "%d/%d OK" % (ok, total)
         return {"ok": ok, "total": total, "text": text,
                 "config": _resolved_config(args, ["action", "n", "exhaustive", "force"])}
-    if args.action == "pushforward":
-        if args.force:
-            raise UsageError("pushforward does not take --force; its enumerations keep their size guards")
-        rep = pushforward_distribution(args.n, lambda k: Fraction(1))
-        text = "n=%d max discrepancy %s (%s)" % (
-            rep["n"], rep["max_discrepancy"],
-            "exact match" if rep["exact_match"] else "MISMATCH")
-        return {**rep, "text": text, "config": _resolved_config(args, ["action", "n"])}
-    raise UsageError("unknown bij action %r" % args.action)
+    # pushforward, the one action left (argparse rejects any other)
+    if args.force:
+        raise UsageError("pushforward does not take --force; its enumerations keep their size guards")
+    rep = pushforward_distribution(args.n, lambda k: Fraction(1))
+    text = "n=%d max discrepancy %s (%s)" % (
+        rep["n"], rep["max_discrepancy"],
+        "exact match" if rep["exact_match"] else "MISMATCH")
+    return {**rep, "text": text, "config": _resolved_config(args, ["action", "n"])}
 
 
 def _cmd_gh(args) -> dict:
@@ -274,21 +273,20 @@ def _cmd_gh(args) -> dict:
         lb = gh_lower_bound(x, y, seed=args.seed)
         return {"lower": lb, "text": "GH>=%.6g" % lb,
                 "config": _resolved_config(args, ["action", "a", "b", "seed"])}
-    if args.action == "lemma":
-        from .halin import enumerate_halin
-        from .looptree import check_lemma_bound
+    # lemma, the one action left
+    from .halin import enumerate_halin
+    from .looptree import check_lemma_bound
 
-        reports, lines = [], []
-        for H in enumerate_halin(args.n, force=args.force):
-            r = check_lemma_bound(H)
-            reports.append(r)
-            rel, g = ("=", r["gh"]) if r["gh"] is not None else ("<=", r["upper"])
-            lines.append("GH%s%.6g, bound=%.6g, %s" % (rel, g, r["bound"], "OK" if r["ok"] else "FAIL"))
-            if not args.exhaustive:
-                break
-        return {"reports": reports, "text": "\n".join(lines),
-                "config": _resolved_config(args, ["action", "n", "exhaustive", "force"])}
-    raise UsageError("unknown gh action %r" % args.action)
+    reports, lines = [], []
+    for H in enumerate_halin(args.n, force=args.force):
+        r = check_lemma_bound(H)
+        reports.append(r)
+        rel, g = ("=", r["gh"]) if r["gh"] is not None else ("<=", r["upper"])
+        lines.append("GH%s%.6g, bound=%.6g, %s" % (rel, g, r["bound"], "OK" if r["ok"] else "FAIL"))
+        if not args.exhaustive:
+            break
+    return {"reports": reports, "text": "\n".join(lines),
+            "config": _resolved_config(args, ["action", "n", "exhaustive", "force"])}
 
 
 def _load_metric(path: str):
@@ -342,12 +340,11 @@ def _cmd_exp(args) -> dict:
                    "csv": rows_to_csv(res["rows"])}
         payload["text"] = json.dumps(_jsonable(payload["summary"]), indent=2, sort_keys=True)
         return payload
-    if args.action == "lukasiewicz":
-        res = lukasiewicz_profile(cfg)
-        res["config"]["out"] = args.out
-        res["text"] = json.dumps(_jsonable(res["ks_consecutive"]), indent=2, sort_keys=True)
-        return res
-    raise UsageError("unknown exp action %r" % args.action)
+    # lukasiewicz, the one action left
+    res = lukasiewicz_profile(cfg)
+    res["config"]["out"] = args.out
+    res["text"] = json.dumps(_jsonable(res["ks_consecutive"]), indent=2, sort_keys=True)
+    return res
 
 
 def _cmd_render(args) -> dict:
@@ -359,10 +356,8 @@ def _cmd_render(args) -> dict:
         dot = render(tree)
     elif args.kind == "looptree":
         dot = render(loop(tree))
-    elif args.kind == "halin":
+    else:  # halin
         dot = render(build_halin(tree))
-    else:
-        raise UsageError("unknown render kind %r" % args.kind)
     return {"dot": dot, "text": dot, "config": _resolved_config(args, ["kind", "tree"])}
 
 

@@ -138,7 +138,8 @@ def _summarize(rows: list[dict], cfg: ScalingRunConfig) -> dict:
         slope = ssxym / ssxm
         out["slope"] = float(slope)
         dof = len(sizes) - 2  # residual degrees of freedom; two sizes leave none
-        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0) if ssym else np.nan
+        # flat medians: r is 0/0, but the fit has no residual, so 1 - r**2 is 0
+        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0) if ssym else 1.0
         half = stdtrit(dof, 0.975) * np.sqrt((1 - r**2) * ssym / ssxm / dof) if dof else None
         out["slope_ci95"] = None if half is None else [float(slope - half), float(slope + half)]
         first, last = sizes[0], sizes[-1]

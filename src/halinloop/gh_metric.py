@@ -143,11 +143,6 @@ def gh_exact(
     nx, ny = x.size, y.size
     if nx == 0 or ny == 0:
         raise UsageError("empty metric space")
-    est = float(ny) ** nx * float(nx) ** ny
-    if est > budget * 64:
-        raise BudgetExceededError(
-            "search space %.2e exceeds budget; use bounds instead" % est
-        )
     dx, dy = x.dist.tolist(), y.dist.tolist()
     # incumbent: everything matched to one point on each side
     incumbent = max(x.diameter, y.diameter)

@@ -13,8 +13,9 @@ Deleting the leaves of such a tree leaves a plane tree on its n
 internal vertices in which each vertex keeps the slot of its leaf among
 its children: one marked corner per vertex, the correspondence behind
 the paper's bijection with marked plane trees (arXiv:2104.13364).
-``hstar_trees`` runs it backwards, building each tree from a marked
-tree instead of filtering all plane trees on 2n vertices.
+``hstar_trees`` streams the trees in lexicographic code order by one
+walk over code positions that offers only the child counts the rule can
+still complete, not by filtering all plane trees on 2n vertices.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Callable, Iterator
 
 from .errors import InvariantError, SizeGuardError, UsageError
 from .planar_map import PlanarMap
-from .plane_tree import MarkedTree, PlaneTree, enumerate_marked
+from .plane_tree import PlaneTree
 
 HALIN_ENUM_GUARD = 10
 
@@ -39,30 +40,14 @@ def satisfies_hstar(tree: PlaneTree) -> bool:
     return tree.one_leaf_child
 
 
-def _with_leaf_children(marked: MarkedTree) -> tuple[int, ...]:
-    """Code of the tree in which every vertex v of ``marked`` gets k_v + 1
-    children, a leaf in slot marks[v] and its own children in order
-    around it."""
-    out: list[int] = []
-    todo = [False]  # what is still to come, last first: a leaf (True) or a subtree
-    for k, m in zip(marked.shape.code, marked.marks):
-        todo.pop()  # this vertex's subtree
-        out.append(k + 1)
-        todo += [False] * (k - m) + [True] + [False] * m
-        while todo and todo[-1]:
-            todo.pop()
-            out.append(0)
-    return tuple(out)
-
-
 def hstar_trees(n: int, force: bool = False) -> Iterator[PlaneTree]:
     """Plane trees on 2n vertices with exactly one leaf child per
-    internal vertex, in lexicographic code order.
+    internal vertex, in lexicographic code order, streamed.
 
-    Each one is built from a marked tree on n vertices by giving every
-    vertex a leaf child in its marked slot (arXiv:2104.13364); this is a
-    bijection, so the binom(3n-2, n-1)/n trees come out without a search
-    over the Catalan(2n-1) plane trees on 2n vertices.
+    One walk fills the code slot by slot, a leaf (0) first and then an
+    internal vertex with 1, 2, ... children, offering only what the n
+    internal vertices can still complete: the binom(3n-2, n-1)/n trees
+    come out with no dead ends, and the first one without the rest.
     """
     if n < 1:
         raise UsageError("need n >= 1")
@@ -71,8 +56,28 @@ def hstar_trees(n: int, force: bool = False) -> Iterator[PlaneTree]:
             "enumeration of maps with %d internal vertices is too large; "
             "pass force to override" % n
         )
-    for code in sorted(_with_leaf_children(mt) for mt in enumerate_marked(n, force=True)):
-        yield PlaneTree(code)
+
+    def rec(
+        code: tuple[int, ...], stack: tuple[int, ...], left: int, need: int
+    ) -> Iterator[PlaneTree]:
+        # stack: per open vertex, children still to come, negated once its
+        # leaf child is placed (as in PlaneTree.one_leaf_child); left:
+        # internal vertices still to place; need: open slots that must hold one
+        if not stack:
+            yield PlaneTree(code)
+            return
+        rest, r = stack[:-1], stack[-1]
+        if r > 0:  # the leaf child, while it is still to come
+            yield from rec(code + (0,), rest + (1 - r,) if r > 1 else rest, left, need)
+        if r != 1:  # an internal child, unless only the leaf is left
+            if r != -1:
+                rest += (r - 1 if r > 0 else r + 1,)
+            # its c - 1 new slots must fit in the left - 1 vertices after it,
+            # and while any are left, an open slot must remain for them
+            for c in range(2 if need == 1 < left else 1, left - need + 2):
+                yield from rec(code + (c,), rest + (c,), left - 1, need + c - 2)
+
+    yield from rec((), (-1,), n, 1)  # a stand-in parent holds the root's slot
 
 
 @dataclass(frozen=True)

@@ -177,6 +177,12 @@ class TestSampleAndMu:
         (["exp", "scaling", "--sizes", "64,256,1024", "--samples", "5", "--seed", "42",
           "--format", "json"],
          "efa77c9944d951fd6b33a93621ac422a5258bc4c9f7e3f25dba4bd4c5ef8f8a8"),
+        (["enumerate", "-n", "7"],
+         "c279d53cb6d796bec587d8daaa94045f675ebb697e4c15070a98a9bd54b6bf5e"),
+        (["enumerate", "-n", "6", "--format", "json"],
+         "d41a4a923c0b9521c7ca926099ec6a0489f094ce48ad38f98bd017ead8591e2c"),
+        (["gh", "lemma", "-n", "4", "--exhaustive", "--format", "json"],
+         "3d9f7b55a0709b0d909f9f558224b3d1c5dce480370f80074a5e27b65fd23868"),
     ])
     def test_stdout_is_pinned(self, capout, monkeypatch, argv, digest):
         # sha256 of the whole stdout; the JSON digests are of the output
@@ -250,6 +256,19 @@ class TestExp:
         assert csv_file.read_text() == rows_to_csv(rows)
         assert json.loads(json_file.read_text())["config"]["out"] == str(json_file)
         assert sorted(os.listdir(tmp_path)) == ["r.csv", "r.json"]
+
+    def test_flat_medians_give_strict_json(self, capout):
+        # every median diameter is 2, so the fit is flat: r is 0/0 and the
+        # interval has width 0, with no NaN for a strict parser to refuse
+        def reject(constant):
+            raise ValueError("non-standard JSON constant %s" % constant)
+
+        out = capout(["exp", "scaling", "--sizes", "3,4,5", "--samples", "1", "--seed", "21",
+                      "--format", "json"])
+        payload = json.loads(out, parse_constant=reject)
+        summary = payload["summary"]
+        assert json.loads(payload["text"], parse_constant=reject) == summary  # the text form
+        assert summary["slope_ci95"] == [summary["slope"]] * 2
 
     @pytest.mark.parametrize("sizes", ["1,2", "4,4"])
     def test_bad_sizes_are_usage_errors(self, capsys, sizes):

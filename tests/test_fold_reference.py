@@ -21,9 +21,6 @@ def gh_exact_reference(x, y, budget=10**9):
     """Branch and bound with one loop for f: X -> Y and a mirrored one
     for g: Y -> X; returns the distance and the evaluations it used."""
     nx, ny = x.size, y.size
-    est = float(ny) ** nx * float(nx) ** ny
-    if est > budget * 64:
-        raise BudgetExceededError("search space %.2e exceeds budget; use bounds instead" % est)
     dx, dy = x.dist, y.dist
     incumbent = max(x.diameter, y.diameter)
     u = np.full(nx, -1, dtype=int)
@@ -171,6 +168,11 @@ def _assert_same_as_reference(x, y, budgets):
     for budget in (*budgets, evals, evals - 1):
         want = _outcome(lambda x, y, budget: gh_exact_reference(x, y, budget)[0], x, y, budget)
         assert _outcome(gh_exact, x, y, budget) == want
+    # the evaluation counter is the one budget: it is enough exactly when it
+    # covers the evaluations the search makes
+    assert isinstance(_outcome(gh_exact, x, y, evals), float)
+    if evals:
+        assert _outcome(gh_exact, x, y, evals - 1) == "distortion evaluation budget exceeded"
 
 
 def _maps_to_compare():

@@ -11,7 +11,7 @@ from halinloop.halin import (
     hstar_trees,
     satisfies_hstar,
 )
-from halinloop.plane_tree import PlaneTree, enumerate_trees
+from halinloop.plane_tree import PlaneTree, enumerate_marked, enumerate_trees
 
 COUNTS = {1: 1, 2: 2, 3: 7, 4: 30, 5: 143}
 
@@ -22,6 +22,26 @@ def _hstar_reference(n):
     for tree in enumerate_trees(2 * n, force=True):
         if tree.leaf_count() == n and satisfies_hstar(tree):
             yield tree
+
+
+def _hstar_sorted_reference(n):
+    """The codes of the one-leaf-child trees built from every marked tree
+    on n vertices by a leaf in each marked slot, then sorted: the pipeline
+    hstar_trees replaced with one lexicographic walk."""
+
+    def with_leaf_children(marked):
+        out = []
+        todo = [False]  # what is still to come, last first: a leaf (True) or a subtree
+        for k, m in zip(marked.shape.code, marked.marks):
+            todo.pop()  # this vertex's subtree
+            out.append(k + 1)
+            todo += [False] * (k - m) + [True] + [False] * m
+            while todo and todo[-1]:
+                todo.pop()
+                out.append(0)
+        return tuple(out)
+
+    return sorted(with_leaf_children(mt) for mt in enumerate_marked(n, force=True))
 
 
 class TestOneLeafChildRule:
@@ -45,6 +65,14 @@ class TestOneLeafChildRule:
     def test_hstar_trees_match_filter_in_order(self):
         for n in range(1, 7):
             assert [t.code for t in hstar_trees(n)] == [t.code for t in _hstar_reference(n)]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_hstar_trees_match_sorted_marked_pipeline(self, n):
+        assert [t.code for t in hstar_trees(n)] == _hstar_sorted_reference(n)
+
+    def test_hstar_trees_stream_past_any_full_enumeration(self):
+        # about 6.4 * 10^29 trees at n = 40: only a generator reaches the first
+        assert next(hstar_trees(40, force=True)).code == (2, 0) * 39 + (1, 0)
 
 
 class TestEnumeration:

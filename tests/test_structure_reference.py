@@ -1,7 +1,6 @@
-"""``PlaneTree.structure`` and the stack walk in ``halin._with_leaf_children``
-against the code they replaced, kept here as ``_reference`` functions: the
-Python slot stack that gave parents and depths, and the recursion over
-``children()`` that inserted the leaf children."""
+"""``PlaneTree.structure`` against the code it replaced, kept here as a
+``_reference`` function: the Python slot stack that gave parents and
+depths."""
 
 from itertools import accumulate
 
@@ -9,8 +8,7 @@ import numpy as np
 import pytest
 
 from halinloop.gw import mu_from_weights, sample_conditioned, stable_mu
-from halinloop.halin import _with_leaf_children
-from halinloop.plane_tree import enumerate_marked, enumerate_trees, lukasiewicz
+from halinloop.plane_tree import enumerate_trees, lukasiewicz
 
 
 def parents_depths_reference(code):
@@ -25,24 +23,6 @@ def parents_depths_reference(code):
             dep[i] = dep[p] + 1
         slots += [i] * k
     return tuple(par), tuple(dep)
-
-
-def with_leaf_children_reference(marked):
-    """Leaf insertion by recursion over the shape's children."""
-    code, marks, children = marked.shape.code, marked.marks, marked.shape.children()
-    out = []
-
-    def emit(v):
-        out.append(code[v] + 1)
-        for j, c in enumerate(children[v]):
-            if j == marks[v]:
-                out.append(0)
-            emit(c)
-        if marks[v] == code[v]:
-            out.append(0)
-
-    emit(0)
-    return tuple(out)
 
 
 def _assert_matches_reference(tree):
@@ -66,8 +46,3 @@ def test_structure_matches_reference_on_sampled_trees(n, law):
     for s in range(2 if n == 2**16 else 10):
         _assert_matches_reference(sample_conditioned(mu, n, np.random.default_rng([s, n])))
 
-
-def test_leaf_insertion_matches_reference_on_every_small_marked_tree():
-    for n in range(1, 9):
-        for marked in enumerate_marked(n):
-            assert _with_leaf_children(marked) == with_leaf_children_reference(marked)
