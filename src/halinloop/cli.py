@@ -94,6 +94,8 @@ def _emit_error(args, kind: str, exc: Exception) -> None:
 
 
 def _jsonable(x):
+    if type(x) in (str, int, float) or x is None:  # not bool, not numpy scalars
+        return x
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -421,7 +423,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("action", choices=["exact", "bounds", "lemma"])
     sp.add_argument("--a", help="CSV distance matrix")
     sp.add_argument("--b", help="CSV distance matrix")
-    sp.add_argument("--budget", type=int, default=10**9)
+    sp.add_argument("--budget", type=int, default=10**7,
+                    help="distortion evaluations before exit 4 (default 10000000: 20-30 s)")
     sp.add_argument("--seed", type=_seed, default=_default_seed())
     sp.add_argument("-n", type=int, default=1)
     sp.add_argument("--exhaustive", action="store_true")

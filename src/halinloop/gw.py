@@ -13,9 +13,10 @@ items halve into blocks of ceil(m/2) and floor(m/2) items, and a
 block's total is shared between its halves by the exact conditional
 law, read from partial-sum tables P_m built once per (mu, n) by FFT.
 The split runs one depth at a time over a chunk of trees, one numpy
-pass per block size, so a batch costs about log2(n) passes.  Tree i of
-a chunk reads its own n-1 uniforms, so sample_conditioned_many gives
-the trees repeated sample_conditioned calls would, from the same seed.
+pass per block size, so a batch costs about log2(n) passes; a pass
+builds one cdf window per distinct block total.  Tree i of a chunk
+reads its own n-1 uniforms, so sample_conditioned_many gives the trees
+repeated sample_conditioned calls would, from the same seed.
 Each chunk's rotated codes are checked as one array and become trees
 through ``PlaneTree.from_rows``; no sampled tree passes the tuple check.
 
@@ -253,26 +254,39 @@ class _SizeLaw:
 
     def _left_shares(self, a: int, b: int, s: np.ndarray, u: np.ndarray) -> np.ndarray:
         """For blocks of a + b items with totals s, the left a-block's
-        share of each, chosen by inverting its conditional cdf at u."""
+        share of each, chosen by inverting its conditional cdf at u.  One
+        window serves all blocks with the same total, so the running sum a
+        uniform is added to counts distinct totals, not blocks."""
         pa, pb = self.tables[a], self.tables[b]
-        lo = np.maximum(0, s - (len(pb) - 1))
-        hi = np.minimum(s, len(pa) - 1)
+        # the distinct totals t, ascending, and each block's index in t
+        seen = np.zeros(int(s.max()) + 1, dtype=bool)
+        seen[s] = True
+        t = np.flatnonzero(seen)
+        which = np.cumsum(seen)[s] - 1
+        lo = np.maximum(0, t - (len(pb) - 1))
+        hi = np.minimum(t, len(pa) - 1)
         width = hi - lo + 1
         if np.any(width <= 0):
             raise UsageError("size outside the support of the total progeny")
-        # the windows pa[i] * pb[s - i], i in [lo, hi], laid end to end
+        # the windows pa[i] * pb[t - i], i in [lo, hi], laid end to end and
+        # built in place: near the root one window is up to n long
         start = np.cumsum(width) - width
-        i = np.arange(int(width.sum())) + np.repeat(lo - start, width)
-        w = pa[i] * pb[np.repeat(s, width) - i]
+        i = np.repeat(lo - start, width)
+        i += np.arange(len(i))
+        j = np.repeat(t, width)
+        j -= i
+        w = pa[i]
+        w *= pb[j]
         tot = np.add.reduceat(w, start)
         if not np.all(tot > 0):
             raise UsageError("size outside the support of the total progeny")
         # each window is normalised to mass one before the running sum, so
         # a window keeps its resolution however much mass precedes it
-        cdf = np.cumsum(w / np.repeat(tot, width))
+        w /= np.repeat(tot, width)
+        cdf = np.cumsum(w)
         base = np.concatenate(([0.0], cdf[start[1:] - 1]))
-        k = np.searchsorted(cdf, base + u, side="right") - start
-        return np.minimum(lo + k, hi)
+        k = np.searchsorted(cdf, base[which] + u, side="right") - start[which]
+        return np.minimum(lo[which] + k, hi[which])
 
 
 _size_laws: dict[tuple, _SizeLaw] = {}

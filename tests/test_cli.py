@@ -113,6 +113,16 @@ class TestGH:
             expect=EXIT_BUDGET,
         )
 
+    def test_budget_default_is_the_one_in_help(self):
+        import re
+
+        from halinloop.cli import _build_parser
+
+        parser = _build_parser()
+        gh = parser._subparsers._group_actions[0].choices["gh"]
+        stated = re.search(r"default (\d+)", " ".join(gh.format_help().split())).group(1)
+        assert gh.get_default("budget") == int(stated)
+
     def test_missing_file_is_usage_error(self, capout):
         capout(["gh", "exact", "--a", "/no/such.csv", "--b", "/no/such.csv"],
                expect=EXIT_USAGE)

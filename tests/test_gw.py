@@ -360,6 +360,41 @@ class TestSplitSampler:
                     assert np.array_equal(got, want), (family, n, seed)
                     assert r1.random() == r2.random()
 
+    @pytest.mark.parametrize("family", ["stable1.5", "uniform"])
+    @pytest.mark.parametrize("n", [4096, 65536])
+    def test_level_split_matches_reference_where_totals_repeat(self, family, n):
+        # at these sizes thousands of deep blocks share a handful of totals
+        import halinloop.gw as gw
+
+        tables = gw._size_law(_FAMILIES[family](), n)
+        r1, r2 = np.random.default_rng(n), np.random.default_rng(n)
+        got = tables.sample_counts(1, r1)[0]
+        assert np.array_equal(got, _stack_split_counts(tables, n, n - 1, r2))
+        assert r1.random() == r2.random()
+
+    @pytest.mark.parametrize("n, count", [(4, 20_000), (64, 1500)])
+    def test_default_chunks_match_reference_rows(self, n, count):
+        # rows of one chunk share their totals, the n = 4 top total across
+        # all 16,384 rows of a chunk
+        import halinloop.gw as gw
+
+        mu = stable_mu(1.5)
+        tables = gw._size_law(mu, n)
+        r1, r2 = np.random.default_rng((n, 9)), np.random.default_rng((n, 9))
+        want = [tuple(cycle_rotation(_stack_split_counts(tables, n, n - 1, r1)).tolist())
+                for _ in range(count)]
+        assert [t.code for t in sample_conditioned_many(mu, n, count, r2)] == want
+        assert r1.bit_generator.state == r2.bit_generator.state
+
+    def test_zero_mass_total_among_valid_ones_raises(self):
+        import halinloop.gw as gw
+
+        law = gw._size_law(mu_from_weights(lambda k: 1.0 if k % 2 == 0 else 0.0), 301)
+        u = np.full(5, 0.5)
+        assert np.all(law._left_shares(1, 1, np.array([0, 2, 4, 2, 6]), u) % 2 == 0)
+        with pytest.raises(UsageError):
+            law._left_shares(1, 1, np.array([0, 2, 3, 2, 6]), u)
+
     def test_periodic_law(self):
         mu = mu_from_weights(lambda k: 1.0 if k % 2 == 0 else 0.0)
         tree = sample_conditioned(mu, 301, 0)
