@@ -218,7 +218,7 @@ class _SizeLaw:
             size = 1 << (len(pa) + len(pb) - 2).bit_length()
             fa = np.fft.rfft(pa, size)
             fb = fa if pb is pa else np.fft.rfft(pb, size)
-            conv = np.fft.irfft(fa * fb, size)[:n]
+            conv = np.fft.irfft(fa * fb, size)[:n].copy()  # not a view pinning the 2n buffer
             np.clip(conv, 0.0, None, out=conv)
             self.tables[m] = conv
 

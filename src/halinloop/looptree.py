@@ -161,14 +161,19 @@ def loop_diameter(tree: PlaneTree) -> int:
       and is min(r_j, k_p + 1 - r_j) steps from p; a cumulative sum of
       these steps over [v, tau_v) gives the loop depth D;
     - the hanging height is max D[v:tau_v) - D_v;
-    - with the cycles laid end to end, the pair maximum splits into the
-      short way round, s in [t - floor(L/2), t - 1], and the long way
-      round, s <= t - ceil(L/2), each a range maximum per position t.
+    - with the cycles laid end to end in an array a, lb = max(a_p +
+      a_{p+1}) + 1 is a realised distance: adjacent entries are one step
+      apart, or (last position, next owner) with a = 0 at the owner, the
+      value of the last position with its own owner;
+    - no pair on a cycle of length L beats 2 max(a) + floor(L/2); only
+      cycles whose bound exceeds lb take the two range maxima per
+      position t, the short way round, s in [t - floor(L/2), t - 1], and
+      the long way round, s <= t - ceil(L/2).
 
-    The three range maxima are sparse-table queries (Bender and
-    Farach-Colton, *The LCA problem revisited*, LATIN 2000), so the
-    whole computation is a fixed set of numpy passes plus O(log n)
-    doubling passes, with no Python loop over vertices or cycles.
+    The range maxima are sparse-table queries (Bender and Farach-Colton,
+    *The LCA problem revisited*, LATIN 2000), so the whole computation
+    is a fixed set of numpy passes plus O(log n) doubling passes, with
+    no Python loop over vertices or cycles.
     """
     n = tree.zeta
     if n == 1:
@@ -195,10 +200,16 @@ def loop_diameter(tree: PlaneTree) -> int:
     start[internal] = np.cumsum(size, dtype=i32) - size
     a = np.zeros(int(size.sum()), i32)
     a[start[par] + rank] = hang[1:]
-    seg_start = np.repeat(start[internal], size)
+    lb = int((a[1:] + a[:-1]).max()) + 1
+    keep = 2 * np.maximum.reduceat(a, start[internal]) + size // 2 > lb
+    if not keep.any():
+        return lb
+    start, size = start[internal][keep], size[keep]
+    seg_start = np.repeat(np.cumsum(size, dtype=i32) - size, size)
     seg_len = np.repeat(size, size)
-    del k, par, rank, hang, start, internal, size
-    pos = np.arange(a.size, dtype=i32)
+    pos = np.arange(seg_start.size, dtype=i32)
+    a = a[np.repeat(start, size) - seg_start + pos]
+    del k, par, rank, hang, start, internal, size, keep
     x = a - pos
     y = a + pos
     del a
@@ -210,7 +221,7 @@ def loop_diameter(tree: PlaneTree) -> int:
     half = (seg_len + 1) // 2
     t = np.flatnonzero(pos - seg_start >= half).astype(i32)
     hi = t - half[t] + 1
-    return max(best, int((_range_max(y, seg_start[t], hi) + x[t] + seg_len[t]).max()))
+    return max(lb, best, int((_range_max(y, seg_start[t], hi) + x[t] + seg_len[t]).max()))
 
 
 def map_graph(m: PlanarMap) -> LoopGraph:

@@ -91,20 +91,24 @@ class PlaneTree:
         trees and applications*, 2005); ``walk`` has n + 1 entries.  v's
         subtree is [v, tau_v), tau_v the first j > v with W_j = W_v - 1, so
         v's depth counts the u < v with tau_u > v.  Sorted stably by depth,
-        siblings are consecutive and the first follows their parent.
+        siblings are consecutive and the first follows their parent.  Both
+        sorts use the narrowest dtype that holds their keys (below height
+        2^16 the depth sort is numpy's radix sort).
         """
         n, k = self.zeta, self.counts
         walk = np.zeros(n + 1, np.int32)
         np.cumsum(k - 1, out=walk[1:])
         # key_v - n finds the first j > v one level down; key[0] is j = n
-        key = (walk + np.int64(1)) * (n + 1) + np.arange(n + 1)
+        kt = np.min_scalar_type(-(int(walk.max()) + 2) * (n + 1)).type
+        m = kt(n + 1)
+        key = (walk.astype(kt) + kt(1)) * m + np.arange(n + 1, dtype=kt)
         key.sort()
         tau = np.empty(n, np.int32)
-        tau[key[1:] % (n + 1)] = key[np.searchsorted(key, key[1:] - n)] % (n + 1)
+        tau[key[1:] % m] = key[np.searchsorted(key, key[1:] - kt(n))] % m
         del key
         depth = (np.arange(n) - np.cumsum(np.bincount(tau))[:n]).astype(np.int32)
         # non-root vertices by depth, in vertex order within a depth
-        order = np.argsort(depth, kind="stable")[1:]
+        order = np.argsort(depth.astype(np.min_scalar_type(depth.max())), kind="stable")[1:]
         first = np.where(k[order - 1] > 0, np.arange(n - 1), 0)
         parent = np.full(n, -1, np.int32)
         parent[order] = order[np.maximum.accumulate(first)] - 1

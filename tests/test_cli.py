@@ -280,6 +280,16 @@ class TestExp:
         assert json.loads(payload["text"], parse_constant=reject) == summary  # the text form
         assert summary["slope_ci95"] == [summary["slope"]] * 2
 
+    def test_wrong_map_diameter_exits_invariant(self, capsys, monkeypatch):
+        # the paired-map check is the lemma's only guard above n = 4
+        from halinloop.looptree import LoopGraph
+
+        monkeypatch.setattr(LoopGraph, "diameter", lambda self: 10**6)
+        assert run(["exp", "scaling", "--sizes", "64", "--samples", "1"]) == EXIT_INVARIANT
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert "differ beyond the bound" in err
+
     @pytest.mark.parametrize("sizes", ["1,2", "4,4"])
     def test_bad_sizes_are_usage_errors(self, capsys, sizes):
         for action in ("scaling", "lukasiewicz"):

@@ -386,6 +386,16 @@ class TestSplitSampler:
         assert [t.code for t in sample_conditioned_many(mu, n, count, r2)] == want
         assert r1.bit_generator.state == r2.bit_generator.state
 
+    @pytest.mark.parametrize("n", [7, 300, 65536])
+    def test_tables_own_their_memory(self, n):
+        # a view of the FFT output would pin a buffer twice the table's size
+        import halinloop.gw as gw
+
+        tables = gw._size_law(stable_mu(1.5), n).tables
+        assert len(tables) > 1
+        for m, table in tables.items():
+            assert table.shape == (n,) and table.flags.owndata, m
+
     def test_zero_mass_total_among_valid_ones_raises(self):
         import halinloop.gw as gw
 

@@ -183,6 +183,26 @@ def _loop_diameter_reference(tree):
     return best
 
 
+def _pruned_query_sizes(tree):
+    """Query counts of loop_diameter's range maxima, from the per-cycle
+    position arrays: one hang query per internal vertex, then, only if
+    some cycle's bound 2 max(a) + floor(L/2) exceeds the best adjacent
+    pair, L - 1 short-way and floor(L/2) long-way queries per such cycle."""
+    code, ch = tree.code, tree.children()
+    h = [0] * tree.zeta
+    cycles = {}
+    for v in range(tree.zeta - 1, -1, -1):
+        if code[v]:
+            L = code[v] + 1
+            a = cycles[v] = [0] + [h[c] for c in ch[v]]
+            h[v] = max(min(i, L - i) + a[i] for i in range(1, L))
+    flat = [x for v in sorted(cycles) for x in cycles[v]]
+    lb = max(x + y for x, y in zip(flat, flat[1:])) + 1
+    kept = [len(a) for a in cycles.values() if 2 * max(a) + len(a) // 2 > lb]
+    sizes = [len(cycles)]
+    return sizes + [sum(L - 1 for L in kept), sum(L // 2 for L in kept)] if kept else sizes
+
+
 def _bfs_diameter(tree):
     return _all_pairs_diameter(loop(tree))
 
@@ -229,6 +249,42 @@ class TestLoopDiameter:
         t = PlaneTree(_SHAPES[name](4096))
         assert t.zeta == 4096
         assert loop_diameter(t) == _loop_diameter_reference(t) == loop(t).diameter()
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, None])  # None: uniform weights
+    def test_matches_reference_at_2_16(self, alpha):
+        # nearly every cycle is ruled out by the linear bound here
+        mu = stable_mu(alpha) if alpha else mu_from_weights(lambda k: 1.0)
+        t = sample_conditioned(mu, 2**16, np.random.default_rng([16, int(10 * (alpha or 0))]))
+        assert loop_diameter(t) == _loop_diameter_reference(t)
+
+    @pytest.mark.parametrize("name", sorted(_SHAPES))
+    def test_adversarial_shapes_at_2_16(self, name):
+        # the star's (W, j) keys need int64
+        t = PlaneTree(_SHAPES[name](2**16))
+        assert loop_diameter(t) == _loop_diameter_reference(t)
+
+    def test_range_maxima_only_on_cycles_the_bound_keeps(self, monkeypatch):
+        # a kept cycle whose bound only ties the best adjacent pair shows
+        # here as extra queries, though the diameter stays the same
+        import halinloop.looptree as lt
+
+        seen, range_max = [], lt._range_max
+
+        def counted(values, lo, hi):
+            seen.append(lo.size)
+            return range_max(values, lo, hi)
+
+        monkeypatch.setattr(lt, "_range_max", counted)
+        mu = stable_mu(1.5)
+        rng = np.random.default_rng(8)
+        trees = [t for n in range(2, 9) for t in enumerate_trees(n)]
+        trees += [sample_conditioned(mu, n, rng) for n in (100, 1000, 5000) for _ in range(3)]
+        for t in trees:
+            seen.clear()
+            loop_diameter(t)
+            assert seen == _pruned_query_sizes(t), t.code
+        seen.clear()
+        assert loop_diameter(PlaneTree((2, 0, 0))) == 1 and seen == [1]  # a triangle: no pair query
 
     @given(_trees())
     def test_matches_bfs_property(self, t):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from halinloop.gw import mu_from_weights, sample_conditioned, stable_mu
-from halinloop.plane_tree import enumerate_trees, lukasiewicz
+from halinloop.plane_tree import PlaneTree, enumerate_trees, lukasiewicz
 
 
 def parents_depths_reference(code):
@@ -46,3 +46,14 @@ def test_structure_matches_reference_on_sampled_trees(n, law):
     for s in range(2 if n == 2**16 else 10):
         _assert_matches_reference(sample_conditioned(mu, n, np.random.default_rng([s, n])))
 
+
+@pytest.mark.parametrize(
+    "code",
+    [(1,) * 69_999 + (0,), (2,) + (1,) * 69_997 + (0, 0), (2**16 - 1,) + (0,) * (2**16 - 1)],
+    ids=["path 70000", "path and leaf 70000", "star 2^16"],
+)
+def test_structure_matches_reference_at_the_dtype_edges(code):
+    # heights near 70,000 need a uint32 depth sort: in uint16 the end of
+    # the forked path would sort between the root's two children, and
+    # the leaf would be read as its sibling; the star's (W, j) keys need int64
+    _assert_matches_reference(PlaneTree(code))
