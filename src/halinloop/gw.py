@@ -14,9 +14,14 @@ block's total is shared between its halves by the exact conditional
 law, read from partial-sum tables P_m built once per (mu, n) by FFT.
 The split runs one depth at a time over a chunk of trees, one numpy
 pass per block size, so a batch costs about log2(n) passes; a pass
-builds one cdf window per distinct block total.  Tree i of a chunk
-reads its own n-1 uniforms, so sample_conditioned_many gives the trees
-repeated sample_conditioned calls would, from the same seed.
+inverts one cdf window per distinct block total.  Near the root, where
+the windows are long and few, it takes them one at a time, each from
+two contiguous table slices in one buffer the (mu, n) tables own; deeper
+down, where thousands of blocks share short windows, it builds them all
+at once, end to end.  Both are tested draw for draw against a
+depth-first split, one block at a time.  Tree i of a chunk reads its
+own n-1 uniforms, so sample_conditioned_many gives the trees repeated
+sample_conditioned calls would, from the same seed.
 Each chunk's rotated codes are checked as one array and become trees
 through ``PlaneTree.from_rows``; no sampled tree passes the tuple check.
 
@@ -41,6 +46,9 @@ from .plane_tree import PlaneTree
 
 # items (trees x n) held by one call of _SizeLaw.sample_counts
 _CHUNK_ITEMS = 1 << 16
+# _left_shares takes a pass's windows one at a time when their total width
+# is at least this many items per distinct total beyond the first
+_WIDE_WINDOW = 1024
 # mu_from_weights searches b in (0, _B_TOP), just inside the radius of convergence 1
 _B_TOP = 1 - 1e-12
 
@@ -209,6 +217,7 @@ class _SizeLaw:
         self.tables: dict[int, np.ndarray] = {1: p}
         if not self.possible:
             return
+        self._window = np.empty(n)  # the cdf window _shares_by_window works in
         need, level = set(), {n}
         while level:
             need |= level
@@ -254,22 +263,29 @@ class _SizeLaw:
 
     def _left_shares(self, a: int, b: int, s: np.ndarray, u: np.ndarray) -> np.ndarray:
         """For blocks of a + b items with totals s, the left a-block's
-        share of each, chosen by inverting its conditional cdf at u.  One
-        window serves all blocks with the same total, so the running sum a
-        uniform is added to counts distinct totals, not blocks."""
+        share of each, chosen by inverting its conditional cdf at u.
+
+        One window pa[i] pb[t - i], i in [lo, hi], serves all blocks with
+        total t.  Taken one at a time (_shares_by_window), a window costs
+        some microseconds of Python; built all at once, end to end, the
+        windows cost a dozen numpy passes over their total width.  A pass
+        goes window by window when that width is at least _WIDE_WINDOW per
+        distinct total beyond the first: near the root, at every size.
+        """
         pa, pb = self.tables[a], self.tables[b]
-        # the distinct totals t, ascending, and each block's index in t
+        # the distinct totals t, ascending
         seen = np.zeros(int(s.max()) + 1, dtype=bool)
         seen[s] = True
         t = np.flatnonzero(seen)
-        which = np.cumsum(seen)[s] - 1
         lo = np.maximum(0, t - (len(pb) - 1))
         hi = np.minimum(t, len(pa) - 1)
         width = hi - lo + 1
         if np.any(width <= 0):
             raise UsageError("size outside the support of the total progeny")
-        # the windows pa[i] * pb[t - i], i in [lo, hi], laid end to end and
-        # built in place: near the root one window is up to n long
+        if width.sum() >= _WIDE_WINDOW * (len(t) - 1):
+            return self._shares_by_window(pa, pb, s, u, t, lo, hi)
+        which = np.cumsum(seen)[s] - 1  # each block's index in t
+        # the windows laid end to end and built in place
         start = np.cumsum(width) - width
         i = np.repeat(lo - start, width)
         i += np.arange(len(i))
@@ -285,8 +301,41 @@ class _SizeLaw:
         w /= np.repeat(tot, width)
         cdf = np.cumsum(w)
         base = np.concatenate(([0.0], cdf[start[1:] - 1]))
-        k = np.searchsorted(cdf, base[which] + u, side="right") - start[which]
+        key = base[which] + u
+        first = start[which]
+        # cdf is non-decreasing, so the entries from a block's first on that
+        # are <= its key form a prefix: for a window at most 4 wide (90% of
+        # the deepest blocks at n = 2^16), counting the first three gives
+        # the search's answer once clipped to hi.  The rest are searched.
+        k = np.zeros(len(s), dtype=np.int64)
+        for d in range(3):
+            k += cdf[np.minimum(first + d, len(cdf) - 1)] <= key
+        wide = np.flatnonzero(width[which] > 4)
+        k[wide] = np.searchsorted(cdf, key[wide], side="right") - first[wide]
         return np.minimum(lo[which] + k, hi[which])
+
+    def _shares_by_window(self, pa, pb, s, u, t, lo, hi) -> np.ndarray:
+        """_left_shares one distinct total at a time, with the arithmetic
+        of a depth-first split: the window is two contiguous table slices
+        multiplied into self._window, summed up in place and searched at
+        u times its mass for all of its blocks at once."""
+        order = np.argsort(s, kind="stable")
+        ends = np.searchsorted(s[order], t, side="right")
+        us = u[order]
+        k = np.empty(len(s), dtype=np.int64)
+        e0 = 0
+        for tj, l, h, e1 in zip(t.tolist(), lo.tolist(), hi.tolist(), ends.tolist()):
+            w = self._window[: h - l + 1]
+            np.multiply(pa[l : h + 1], pb[tj - h : tj - l + 1][::-1], out=w)
+            mass = w.sum()
+            if not mass > 0:
+                raise UsageError("size outside the support of the total progeny")
+            k[e0:e1] = np.cumsum(w, out=w).searchsorted(us[e0:e1] * mass, side="right")
+            e0 = e1
+        count = np.diff(ends, prepend=0)
+        out = np.empty_like(k)
+        out[order] = np.minimum(np.repeat(lo, count) + k, np.repeat(hi, count))
+        return out
 
 
 _size_laws: dict[tuple, _SizeLaw] = {}
@@ -309,8 +358,11 @@ def cycle_rotation(ks: np.ndarray) -> np.ndarray:
     walk = np.cumsum(np.asarray(ks, dtype=np.int64) - 1, axis=-1)
     if np.any(walk[..., -1] != -1):
         raise UsageError("offspring counts do not sum to n - 1")
-    cut = np.argmin(walk, axis=-1)[..., None] + 1
-    return np.take_along_axis(ks, (np.arange(ks.shape[-1]) + cut) % ks.shape[-1], axis=-1)
+    cut = np.argmin(walk, axis=-1) + 1
+    if cut.size == 1:  # one row: two slices
+        c = cut.item()
+        return np.concatenate((ks[..., c:], ks[..., :c]), axis=-1)
+    return np.take_along_axis(ks, (np.arange(ks.shape[-1]) + cut[..., None]) % ks.shape[-1], axis=-1)
 
 
 def sample_conditioned_many(

@@ -70,6 +70,12 @@ class PlaneTree:
         trees = [object.__new__(cls) for _ in range(len(rows))]
         for tree, code in zip(trees, rows.tolist()):
             object.__setattr__(tree, "code", tuple(code))
+        if len(trees) == 1:
+            # a lone tree caches its row as counts instead of reading the
+            # tuple back; the trees of a batch hold no array until asked
+            k = rows[0].astype(np.int32)
+            k.flags.writeable = False
+            object.__setattr__(trees[0], "counts", k)
         return trees
 
     @property

@@ -107,6 +107,15 @@ class TestCycleRotation:
         with pytest.raises(UsageError):
             cycle_rotation(np.array([1, 1, 1]))
 
+    def test_one_row_rotates_as_in_a_batch(self):
+        # a single row (1-D or one-row 2-D) is cut by slices, a batch by a
+        # modular index; both give the same rows, the cut at n included
+        rows = np.array([[0, 2, 0, 2, 0], [2, 0, 2, 0, 0], [4, 0, 0, 0, 0], [0, 0, 1, 3, 0]])
+        batch = cycle_rotation(rows)
+        for row, want in zip(rows, batch):
+            assert np.array_equal(cycle_rotation(row), want)
+            assert np.array_equal(cycle_rotation(row[None]), want[None])
+
 
 class TestConditionedSampler:
     def test_sizes_and_determinism(self):
@@ -341,6 +350,15 @@ class TestSplitSampler:
                 3,
                 "34d1e3cbed0b8fb93577db841adda263cadc351f5f3c968e866eb32408fa12a0",
             ),
+            # sizes where the top depths invert their windows one at a time
+            (stable_mu(1.5), 65536, 4, "d71010432422e5083ccf29eea91bfb03fbeb6355a554ff329df65cbc57bc54da"),
+            (stable_mu(1.5), 65536, 5, "e9206709eb887ec03b2ce627cea74aa31bf978712cb453fb765b3a44aab790a8"),
+            (
+                mu_from_weights(lambda k: 1.0),
+                16384,
+                6,
+                "77e298a4c40bb77b9e9d7ad3b4d399b5c7eb26844989b44bfcf3bc6b909e7999",
+            ),
         )
         for mu, n, seed, digest in pins:
             code = sample_conditioned(mu, n, seed).code
@@ -360,22 +378,67 @@ class TestSplitSampler:
                     assert np.array_equal(got, want), (family, n, seed)
                     assert r1.random() == r2.random()
 
-    @pytest.mark.parametrize("family", ["stable1.5", "uniform"])
-    @pytest.mark.parametrize("n", [4096, 65536])
-    def test_level_split_matches_reference_where_totals_repeat(self, family, n):
-        # at these sizes thousands of deep blocks share a handful of totals
+    @staticmethod
+    def _check_against_reference(family, n, seed):
         import halinloop.gw as gw
 
         tables = gw._size_law(_FAMILIES[family](), n)
-        r1, r2 = np.random.default_rng(n), np.random.default_rng(n)
+        r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
         got = tables.sample_counts(1, r1)[0]
         assert np.array_equal(got, _stack_split_counts(tables, n, n - 1, r2))
         assert r1.random() == r2.random()
 
-    @pytest.mark.parametrize("n, count", [(4, 20_000), (64, 1500)])
+    @pytest.mark.parametrize("family", ["stable1.5", "uniform"])
+    @pytest.mark.parametrize("n", [4096, 65536])
+    def test_level_split_matches_reference_where_totals_repeat(self, family, n):
+        # at these sizes thousands of deep blocks share a handful of totals
+        self._check_against_reference(family, n, n)
+
+    def test_level_split_matches_reference_where_one_window_dwarfs_the_rest(self, monkeypatch):
+        # stable 1.1, seed 0, n = 2^16: one total of about 18,400-21,500
+        # among 16-154 distinct totals at every depth below the root, so
+        # passes taken window by window and passes laid end to end both
+        # carry one very long window among many short ones
+        import halinloop.gw as gw
+
+        mixed = set()
+        left_shares = gw._SizeLaw._left_shares
+
+        def spy(law, a, b, s, u):
+            t = np.unique(s)
+            width = np.minimum(t, len(law.tables[a]) - 1) - np.maximum(0, t - (len(law.tables[b]) - 1)) + 1
+            if len(t) >= 16 and width.max() >= width.sum() / 4:
+                mixed.add(bool(width.sum() >= gw._WIDE_WINDOW * (len(t) - 1)))
+            return left_shares(law, a, b, s, u)
+
+        monkeypatch.setattr(gw._SizeLaw, "_left_shares", spy)
+        self._check_against_reference("stable1.1", 65536, 0)
+        assert mixed == {True, False}
+
+    def test_wide_pass_allocates_no_long_temporaries(self):
+        # the root pass at n = 2^16 builds its one window in the law's own
+        # buffer: no n-long float64 array (8n bytes) is allocated per call
+        import tracemalloc
+
+        import halinloop.gw as gw
+
+        n = 65536
+        law = gw._size_law(stable_mu(1.5), n)
+        args = ((n + 1) // 2, n // 2, np.array([n - 1]), np.array([0.5]))
+        law._left_shares(*args)
+        tracemalloc.start()
+        try:
+            law._left_shares(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n, peak
+
+    @pytest.mark.parametrize("n, count", [(4, 20_000), (64, 1500), (4096, 16)])
     def test_default_chunks_match_reference_rows(self, n, count):
         # rows of one chunk share their totals, the n = 4 top total across
-        # all 16,384 rows of a chunk
+        # all 16,384 rows of a chunk; at n = 4096 the 16 rows of one chunk
+        # share one root window, inverted once for all of them
         import halinloop.gw as gw
 
         mu = stable_mu(1.5)
@@ -396,14 +459,31 @@ class TestSplitSampler:
         for m, table in tables.items():
             assert table.shape == (n,) and table.flags.owndata, m
 
-    def test_zero_mass_total_among_valid_ones_raises(self):
+    def test_zero_mass_total_among_valid_ones_raises(self, monkeypatch):
         import halinloop.gw as gw
 
-        law = gw._size_law(mu_from_weights(lambda k: 1.0 if k % 2 == 0 else 0.0), 301)
+        mu = mu_from_weights(lambda k: 1.0 if k % 2 == 0 else 0.0)
+        law = gw._size_law(mu, 301)
         u = np.full(5, 0.5)
         assert np.all(law._left_shares(1, 1, np.array([0, 2, 4, 2, 6]), u) % 2 == 0)
         with pytest.raises(UsageError):
             law._left_shares(1, 1, np.array([0, 2, 3, 2, 6]), u)
+        # blocks of 2 x 1,024 items at n = 4097: windows 2,001 and 2,003
+        # wide are taken one at a time, where both checks hold too
+        law = gw._size_law(mu, 4097)
+        by_window = []
+        shares = gw._SizeLaw._shares_by_window
+        monkeypatch.setattr(
+            gw._SizeLaw, "_shares_by_window", lambda *a: by_window.append(1) or shares(*a)
+        )
+        u = np.full(3, 0.5)
+        assert np.all(law._left_shares(1024, 1024, np.array([2000, 2002, 2000]), u) % 2 == 0)
+        assert len(by_window) == 1
+        with pytest.raises(UsageError):  # an odd total has no mass
+            law._left_shares(1024, 1024, np.array([2000, 2001, 2000]), u)
+        assert len(by_window) == 2
+        with pytest.raises(UsageError):  # 8,193 > 2 * 4,096 leaves an empty window
+            law._left_shares(1024, 1024, np.array([2000, 8193, 2000]), u)
 
     def test_periodic_law(self):
         mu = mu_from_weights(lambda k: 1.0 if k % 2 == 0 else 0.0)

@@ -181,6 +181,17 @@ class TestFromRows:
             with pytest.raises(ValueError):
                 k[0] = 5
 
+    def test_one_row_batch_hands_its_row_over_as_counts(self):
+        # a lone tree gets its counts from the row, a copy of it; the trees
+        # of a larger batch hold no array until asked
+        rows = np.array([[2, 1, 0, 0]])
+        (tree,) = PlaneTree.from_rows(rows)
+        assert "counts" in tree.__dict__ and tree.counts.flags.owndata
+        rows[0, 0] = 7
+        assert tree.counts.tolist() == [2, 1, 0, 0]
+        for tree in PlaneTree.from_rows(np.array([[2, 1, 0, 0], [1, 1, 1, 0]])):
+            assert "counts" not in tree.__dict__
+
 
 class TestEnumeration:
     def test_tree_counts_are_catalan(self):
