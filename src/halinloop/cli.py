@@ -284,7 +284,10 @@ def _cmd_gh(args) -> dict:
         r = check_lemma_bound(H)
         reports.append(r)
         rel, g = ("=", r["gh"]) if r["gh"] is not None else ("<=", r["upper"])
-        lines.append("GH%s%.6g, bound=%.6g, %s" % (rel, g, r["bound"], "OK" if r["ok"] else "FAIL"))
+        if not r["ok"]:
+            raise InvariantError("lemma bound fails on the map of tree '%s': GH%s%.6g, bound=%.6g"
+                                 % (format_tree(H.tree), rel, g, r["bound"]))
+        lines.append("GH%s%.6g, bound=%.6g, OK" % (rel, g, r["bound"]))
         if not args.exhaustive:
             break
     return {"reports": reports, "text": "\n".join(lines),

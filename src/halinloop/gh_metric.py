@@ -24,6 +24,10 @@ _SLACK = 1e-9
 
 @dataclass(frozen=True)
 class FiniteMetricSpace:
+    """A distance matrix, checked to be a metric within a 1e-9 slack.  The
+    triangle check is exact, through temporaries of max(2^21, n^2) floats:
+    about 0.4 s at 512 points, 4 s at 1024 and 40-60 s at 2048 (2 cores)."""
+
     dist: np.ndarray
 
     def __post_init__(self):
@@ -36,18 +40,12 @@ class FiniteMetricSpace:
             raise InvariantError("distances must be non-negative with zero diagonal")
         if np.any(np.abs(d - d.T) > _SLACK):
             raise InvariantError("distance matrix must be symmetric")
-        if n <= 256:
-            via = np.full_like(d, np.inf)
-            for k in range(0, n, 8):  # min over k of d[i, k] + d[k, j], eight k at a time
-                np.minimum(via, np.min(d[:, k : k + 8, None] + d[None, k : k + 8], axis=1), out=via)
-            if np.any(d > via + _SLACK):
-                raise InvariantError("triangle inequality violated")
-        else:
-            rng = np.random.default_rng(0)
-            for _ in range(2000):
-                i, j, k = rng.integers(0, n, 3)
-                if d[i, j] > d[i, k] + d[k, j] + _SLACK:
-                    raise InvariantError("triangle inequality violated")
+        via = np.full_like(d, np.inf)
+        step = max(1, 2**21 // max(n * n, 1))
+        for k in range(0, n, step):  # min over k of d[i, k] + d[k, j], step k at a time
+            np.minimum(via, np.min(d[:, k : k + step, None] + d[None, k : k + step], axis=1), out=via)
+        if np.any(d > via + _SLACK):
+            raise InvariantError("triangle inequality violated")
 
     @property
     def size(self) -> int:
@@ -84,11 +82,12 @@ def distortion(r: Correspondence, x: FiniteMetricSpace, y: FiniteMetricSpace) ->
 
 
 def gh_lower_bound(x: FiniteMetricSpace, y: FiniteMetricSpace, seed: int | None = 0) -> float:
-    """Valid lower bounds: half the diameter gap, half the Hausdorff
-    distance between eccentricity sets, and randomized certificates
-    from 200 sampled triples of x (any correspondence must match each
-    triple somewhere, so the best assignment bounds the distortion
-    below).
+    """Valid lower bounds: half the Hausdorff distance between the
+    eccentricity sets, and randomized certificates from 200 sampled
+    triples of x (any correspondence must match each triple somewhere,
+    so the best assignment bounds the distortion below).  The first
+    term is at least half the diameter gap, since each diameter is the
+    largest eccentricity.
 
     A triple is matched through d(a,b), d(a,c) and d(b,c), so each
     sampled triple is compared with the distinct distance triples of y,
@@ -100,11 +99,10 @@ def gh_lower_bound(x: FiniteMetricSpace, y: FiniteMetricSpace, seed: int | None 
     """
     if x.size == 0 or y.size == 0:
         raise UsageError("empty metric space")
-    lb = 0.5 * abs(x.diameter - y.diameter)
     ex, ey = np.sort(x.eccentricities), np.sort(y.eccentricities)
     h1 = max(float(np.abs(ey - e).min()) for e in ex)
     h2 = max(float(np.abs(ex - e).min()) for e in ey)
-    lb = max(lb, 0.5 * max(h1, h2))
+    lb = 0.5 * max(h1, h2)
     rng = np.random.default_rng(seed)
     if x.size < 3:
         return lb

@@ -282,9 +282,12 @@ def check_lemma_bound(H: HalinMap, exact: bool | None = None) -> dict:
 
     The target bound is height + 3/2.  In exact mode (the default for
     small maps) the Gromov-Hausdorff distance is computed by branch and
-    bound and checked against the bound.  Otherwise a triangle-chain
-    upper bound is reported: half the sum of the distortions of the
-    leaf-contraction, canonical, and root-shift correspondences.
+    bound and checked against the bound.  Otherwise it is sandwiched
+    between ``gh_lower_bound`` and half the distortion of the map sending
+    each map vertex to the looptree vertex whose contour cell is its
+    leaf-contraction image: the composition of the leaf-contraction,
+    canonical and root-shift correspondences, so at most the sum of
+    their distortions.
     """
     from .bijection import phi
     from .gh_metric import distortion, gh_exact, gh_lower_bound
@@ -312,17 +315,26 @@ def check_lemma_bound(H: HalinMap, exact: bool | None = None) -> dict:
         out["ok"] = g <= bound + 1e-9
         return out
 
-    hh, hl, R = _canonical_correspondence(H, marked)
-    contract = Correspondence(tuple(enumerate(_leaf_contraction(H.tree)[1])))
-    ident = Correspondence(tuple((i, i) for i in range(L.size)))
-    out["upper"] = 0.5 * (
-        distortion(contract, Hs, hh)
-        + distortion(R, hh, hl)
-        + distortion(ident, L, hl)
-    )
+    owner = {w: v for v, w in enumerate(_cells(H, marked))}
+    internal, image = _leaf_contraction(H.tree)
+    f = Correspondence(tuple((x, owner[internal[i]]) for x, i in enumerate(image)))
+    out["upper"] = 0.5 * distortion(f, Hs, L)
     out["lower"] = gh_lower_bound(Hs, L)
     out["ok"] = out["upper"] <= bound + 1e-9
     return out
+
+
+def _cells(H: HalinMap, marked: MarkedTree) -> tuple[int, ...]:
+    """For each vertex of the marked tree phi(H), the internal map vertex
+    carved out by its contour segment."""
+    from .bijection import phi_inverse_with_cells
+
+    H2, cells = phi_inverse_with_cells(marked)
+    if H2.tree.code != H.tree.code:
+        raise InvariantError("map does not round-trip through its marked tree")
+    if any(H.tree.code[w] == 0 for w in cells):
+        raise InvariantError("cell vertex is a leaf")
+    return cells
 
 
 def canonical_correspondence(
@@ -334,24 +346,8 @@ def canonical_correspondence(
     contour segment."""
     from .bijection import phi
 
-    return _canonical_correspondence(H, phi(H))
-
-
-def _canonical_correspondence(
-    H: HalinMap, marked: MarkedTree
-) -> tuple[FiniteMetricSpace, FiniteMetricSpace, Correspondence]:
-    """``canonical_correspondence`` given the marked tree phi(H)."""
-    from .bijection import phi_inverse_with_cells
-
-    H2, internal_of = phi_inverse_with_cells(marked)
-    if H2.tree.code != H.tree.code:
-        raise InvariantError("map does not round-trip through its marked tree")
+    marked = phi(H)
+    cells = _cells(H, marked)
     hh, internal = hat_H(H)
     index = {v: i for i, v in enumerate(internal)}
-    hl = hat_L(marked)
-    pairs = []
-    for v, w in enumerate(internal_of):
-        if H.tree.code[w] == 0:
-            raise InvariantError("cell vertex is a leaf")
-        pairs.append((index[w], v))
-    return hh, hl, Correspondence(tuple(pairs))
+    return hh, hat_L(marked), Correspondence(tuple((index[w], v) for v, w in enumerate(cells)))

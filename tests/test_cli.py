@@ -142,6 +142,25 @@ class TestGH:
             for action in ("exact", "bounds"):
                 capout(["gh", action, "--a", str(a), "--b", str(a)], expect=EXIT_USAGE)
 
+    def test_large_non_metric_csv_is_usage_error(self, capout, tmp_path):
+        # the triangle check is exact past 256 points too
+        d = np.abs(np.subtract.outer(np.arange(257.0), np.arange(257.0)))
+        d[3, 200] = d[200, 3] = 198
+        a = tmp_path / "a.csv"
+        np.savetxt(a, d, delimiter=",")
+        for action in ("exact", "bounds"):
+            capout(["gh", action, "--a", str(a), "--b", str(a)], expect=EXIT_USAGE)
+
+    def test_failed_lemma_exits_invariant(self, capsys, monkeypatch):
+        from halinloop import looptree
+
+        real = looptree.check_lemma_bound
+        monkeypatch.setattr(looptree, "check_lemma_bound", lambda H: {**real(H), "ok": False})
+        assert run(["gh", "lemma", "-n", "2", "--exhaustive"]) == EXIT_INVARIANT
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert "lemma bound fails on the map of tree '" in err
+
 
 class TestSampleAndMu:
     def test_sample_deterministic_via_seed_flag(self, capout):
@@ -407,7 +426,7 @@ _VALUES = {
     "out": ["out.txt", "no/such/out.txt"],
     "alpha": ["1.5", "1.2", "2", "nan"],
 }
-# exhaustive bounds-mode lemma checks take 4 s at n = 5 and 29 s at n = 6
+# exhaustive bounds-mode lemma checks take 0.6-0.9 s at n = 5 and 3.2-3.4 s at n = 6
 _INT_MAX = {("gh", "n"): 4}
 
 

@@ -48,13 +48,14 @@ class TestMetricValidation:
         d = np.array([[0, 1, 5], [1, 0, 1], [5, 1, 0]], dtype=float)
         with pytest.raises(InvariantError):
             FiniteMetricSpace(d)
-        # a 256-point path metric with one pair pushed 1e-6 beyond its
-        # shortest route
-        d = np.abs(np.subtract.outer(np.arange(256.0), np.arange(256.0)))
-        FiniteMetricSpace(d)
-        d[3, 200] = d[200, 3] = 197 + 1e-6
-        with pytest.raises(InvariantError):
+        # path metrics with one pair pushed 1e-6 beyond its shortest route,
+        # at and past 256 points
+        for n in (256, 257, 400):
+            d = np.abs(np.subtract.outer(np.arange(float(n)), np.arange(float(n))))
             FiniteMetricSpace(d)
+            d[3, 200] = d[200, 3] = 197 + 1e-6
+            with pytest.raises(InvariantError):
+                FiniteMetricSpace(d)
 
     def test_256_point_check_stays_small(self):
         # the triangle check keeps O(n^2) temporaries: an n x n x n tensor

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from halinloop.bijection import phi, phi_inverse
 from halinloop.errors import SizeGuardError, UsageError
-from halinloop.gh_metric import distortion, gh_exact
+from halinloop.gh_metric import Correspondence, distortion, gh_exact
 from halinloop.gw import cycle_rotation, mu_from_weights, sample_conditioned, stable_mu
 from halinloop.halin import build_halin, enumerate_halin
 from halinloop.looptree import (
@@ -364,6 +364,21 @@ class TestCanonicalCorrespondence:
             assert distortion(R, hh, hl) <= 2 * shape.height() + 1e-9
 
 
+def _chain_upper(H):
+    """The three-link upper bound that bounds mode composes into one
+    correspondence: half the summed distortions of the leaf-contraction,
+    canonical and root-shift correspondences."""
+    hh, hl, R = canonical_correspondence(H)
+    _, internal = hat_H(H)
+    index = {v: i for i, v in enumerate(internal)}
+    parents = H.tree.parents()
+    contract = Correspondence(tuple((x, index[x if k else parents[x]]) for x, k in enumerate(H.tree.code)))
+    L = loop(phi(H).shape).metric_space()
+    ident = Correspondence(tuple((v, v) for v in range(L.size)))
+    return 0.5 * (distortion(contract, halin_metric(H), hh) + distortion(R, hh, hl)
+                  + distortion(ident, L, hl))
+
+
 class TestLemmaBound:
     def test_exact_small(self):
         for n in range(1, 4):
@@ -408,7 +423,33 @@ class TestLemmaBound:
         assert check_lemma_bound(H, exact=False)["upper"] is not None
         assert calls == {"phi": 1, "phi_inverse_with_cells": 1}
 
-    @pytest.mark.parametrize("n, lower, upper", [(10, 0.5, 2.5), (20, 1.5, 5.5)])
+    def test_upper_never_above_chain_exhaustive(self):
+        for n in range(1, 6):
+            for H in enumerate_halin(n):
+                assert check_lemma_bound(H, exact=False)["upper"] <= _chain_upper(H)
+
+    def test_upper_never_above_chain_random(self):
+        mu = mu_from_weights(lambda k: 1.0)
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            shape = sample_conditioned(mu, 50, rng)
+            marks = tuple(int(rng.integers(0, k + 1)) for k in shape.code)
+            H = phi_inverse(MarkedTree(shape, marks))
+            assert check_lemma_bound(H, exact=False)["upper"] <= _chain_upper(H)
+
+    def test_sandwich_holds_exhaustive(self):
+        # upper equals the exact distance on every map at n = 3 and on 18
+        # of 30 at n = 4; the three-link chain did on 3 and 2
+        tight = {}
+        for n in range(1, 5):
+            for H in enumerate_halin(n):
+                g = check_lemma_bound(H, exact=True)["gh"]
+                r = check_lemma_bound(H, exact=False)
+                assert r["lower"] <= g <= r["upper"]
+                tight[n] = tight.get(n, 0) + (g == r["upper"])
+        assert tight[3] == 7 and tight[4] == 18
+
+    @pytest.mark.parametrize("n, lower, upper", [(10, 0.5, 1.5), (20, 1.5, 3.5)])
     def test_bounds_are_pinned(self, n, lower, upper):
         # fixed maps with n internal vertices, so that these pin the bounds
         # and not the sampler
