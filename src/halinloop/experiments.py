@@ -13,24 +13,33 @@ log-log regression slope of the median looptree diameter against n,
 which should sit near 1/alpha, and the decay of the normalized height,
 which should vanish.
 
-Determinism: every (size, sample) cell draws from its own seed derived
-from the run seed, so results are byte-identical regardless of
-evaluation order.
+Determinism and cores: every (size, sample) cell draws from its own
+seed derived from the run seed, so results are byte-identical
+regardless of evaluation order.  The cells run on the CPUs the process
+may use (``os.sched_getaffinity``; ``taskset`` limits them), one
+forked worker per CPU up to one per cell, and the rows come back in
+grid order with the same bytes at any CPU count.  Each size's split
+tables are built once, in the calling process, before the fork; the
+workers read them copy-on-write.
 """
 
 from __future__ import annotations
 
 import csv
+import heapq
 import io
 import os
+import pickle
+import signal
 import tempfile
 from dataclasses import asdict, dataclass
-from typing import Iterator, Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import InvariantError, SizeGuardError, UsageError
-from .gw import b_n_of, stable_mu
+from .gw import _size_law, b_n_of, sample_conditioned, stable_mu
 from .halin import HalinMap, n_tree_darts
 from .looptree import LoopGraph, loop_diameter, map_graph
 from .plane_tree import MarkedTree, PlaneTree
@@ -58,42 +67,144 @@ class ScalingRunConfig:
             raise UsageError("alpha must lie in (1, 2)")
 
 
-def _cells(cfg: ScalingRunConfig) -> Iterator[tuple[int, float, int, int, np.random.Generator, PlaneTree]]:
-    """The grid's cells in order, as (n, b_n, sample, cell seed, rng,
-    tree): the tree is drawn from the cell's own generator, which the
-    caller may go on drawing from."""
-    from .gw import sample_conditioned
+def _run_cells(cfg: ScalingRunConfig, cell: Callable) -> list:
+    """cell(n, b_n, sample, cell seed, rng, tree) for every cell of the
+    grid, in grid order; the tree is drawn from the cell's own
+    generator, which cell may go on drawing from.
 
+    The cells are split largest n first over W = min(CPUs this process
+    may use, cells) workers: this process and W - 1 forked children,
+    which read the split tables built here before the fork and pipe
+    their results back.  The first failing cell in grid order raises
+    here, whichever worker ran it."""
     mu = stable_mu(cfg.alpha)
-    for n in cfg.sizes:
-        bn = b_n_of(mu, n)
-        for sample in range(cfg.samples_per_size):
-            ss = np.random.SeedSequence([cfg.seed, n, sample])
-            rng = np.random.default_rng(ss)
-            tree = sample_conditioned(mu, n, rng)
-            if tree.zeta != n or int(tree.counts.sum()) != n - 1:
-                raise InvariantError("sampled code is not a valid tree of size n")
-            yield n, bn, sample, int(ss.generate_state(1)[0]), rng, tree
+    laws = [_size_law(mu, n) for n in cfg.sizes]  # held, so cached, until the workers are done
+    bns = {n: b_n_of(mu, n) for n in cfg.sizes}
+    grid = [(n, sample) for n in cfg.sizes for sample in range(cfg.samples_per_size)]
+
+    def run(share: list[int]) -> list[tuple[int, object]]:
+        """(index, result) per cell of share, in grid order, up to and
+        including the first cell that raises, whose exception is its result."""
+        out = []
+        for i in share:
+            n, sample = grid[i]
+            try:
+                ss = np.random.SeedSequence([cfg.seed, n, sample])
+                rng = np.random.default_rng(ss)
+                tree = sample_conditioned(mu, n, rng)
+                if tree.zeta != n or int(tree.counts.sum()) != n - 1:
+                    raise InvariantError("sampled code is not a valid tree of size n")
+                out.append((i, cell(n, bns[n], sample, int(ss.generate_state(1)[0]), rng, tree)))
+            except Exception as e:  # handed to the caller's process, raised there
+                out.append((i, e))
+                break
+        return out
+
+    results = dict(_in_workers(run, _largest_first([n for n, _ in grid], _worker_count(len(grid)))))
+    del laws
+    failed = [i for i, r in results.items() if isinstance(r, Exception)]
+    if failed:
+        raise results[min(failed)]
+    return [results[i] for i in range(len(grid))]
+
+
+def _worker_count(cells: int) -> int:
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(len(os.sched_getaffinity(0)), cells)
+
+
+def _largest_first(sizes: list[int], workers: int) -> list[list[int]]:
+    """Cell indices per worker, each share in grid order: largest size
+    first, each cell to the worker with the least total size so far
+    (LPT scheduling); worker 0 takes the largest cell."""
+    shares: list[list[int]] = [[] for _ in range(workers)]
+    loads = [(0, w) for w in range(workers)]
+    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
+        load, w = heapq.heappop(loads)
+        shares[w].append(i)
+        heapq.heappush(loads, (load + sizes[i], w))
+    return [sorted(share) for share in shares]
+
+
+def _in_workers(run: Callable[[list[int]], list], shares: list[list[int]]) -> list:
+    """run(share) for every share, concatenated: shares[0] here, each
+    other in a forked child that pipes back its pickled result.  A share
+    that cannot have a process of its own runs here too.  Every child is
+    reaped before this returns or raises."""
+    children: list[tuple[int, int, int]] = []  # (worker, pid, read end of its pipe)
+    here, payloads, statuses = list(shares[0]), {}, {}
+    try:
+        for w, share in enumerate(shares[1:], 1):
+            try:
+                children.append((w, *_fork(run, share)))
+            except OSError:  # out of processes or descriptors
+                here += share
+        out = run(sorted(here))
+        for w, _, r in children:
+            with open(r, "rb", closefd=False) as f:
+                payloads[w] = f.read()
+    finally:
+        for w, pid, r in children:
+            if w not in payloads:  # this process is raising: stop the child
+                os.kill(pid, signal.SIGKILL)
+            os.close(r)
+            statuses[w] = os.waitpid(pid, 0)[1]
+    for w, pid, _ in children:
+        code = os.waitstatus_to_exitcode(statuses[w])
+        if code:
+            how = "was killed by signal %d" % -code if code < 0 else "exited with status %d" % code
+            raise InvariantError("worker %d (pid %d) %s and sent no results" % (w, pid, how))
+        out += pickle.loads(payloads[w])  # written by this program's own child
+    return out
+
+
+def _fork(run: Callable[[list[int]], list], share: list[int]) -> tuple[int, int]:
+    """(pid, read end of its pipe) of a forked child that writes
+    run(share), pickled, to the pipe.  The child never returns: it ends
+    in os._exit, so it neither unwinds into the caller's stack nor
+    flushes the stdio buffers it shares with this process."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as f:
+                f.write(pickle.dumps(run(share), pickle.HIGHEST_PROTOCOL))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, r
 
 
 def scaling_run(cfg: ScalingRunConfig) -> dict:
     """Run the experiment grid; returns rows, per-size medians and the
     regression summary."""
-    rows: list[dict] = []
-    for n, bn, sample, cell_seed, rng, tree in _cells(cfg):
-        row = {
-            "n": n,
-            "seed": cell_seed,
-            "sample": sample,
-            "height": tree.height(),
-            "diam_loop": loop_diameter(tree),
-            "max_jump": int(tree.counts.max()),
-            "b_n": bn,
-        }
-        if n <= cfg.map_diameter_max_n:
-            row["diam_map"] = _paired_map_diameter(tree, rng, row)
-        rows.append(row)
+    rows = _run_cells(cfg, partial(_scaling_row, cfg.map_diameter_max_n))
     return {"config": _config_dict(cfg), "rows": rows, "summary": _summarize(rows, cfg)}
+
+
+def _scaling_row(map_diameter_max_n: int, n: int, bn: float, sample: int, cell_seed: int,
+                 rng: np.random.Generator, tree: PlaneTree) -> dict:
+    row = {
+        "n": n,
+        "seed": cell_seed,
+        "sample": sample,
+        "height": tree.height(),
+        "diam_loop": loop_diameter(tree),
+        "max_jump": int(tree.counts.max()),
+        "b_n": bn,
+    }
+    if n <= map_diameter_max_n:
+        row["diam_map"] = _paired_map_diameter(tree, rng, row)
+    return row
 
 
 def mark_uniformly(tree: PlaneTree, rng: np.random.Generator) -> tuple[MarkedTree, HalinMap]:
@@ -160,12 +271,10 @@ def lukasiewicz_profile(cfg: ScalingRunConfig) -> dict:
     from scipy.stats import ks_2samp
 
     stats: dict[int, dict[str, list[float]]] = {}
-    for n, bn, _, _, _, tree in _cells(cfg):
-        walk = tree.structure.walk
+    for n, functionals in _run_cells(cfg, _excursion_functionals):
         acc = stats.setdefault(n, {"max_w": [], "max_jump": [], "pre_final": []})
-        acc["max_w"].append(int(walk.max()) / bn)
-        acc["max_jump"].append(int(tree.counts.max()) / bn)
-        acc["pre_final"].append(int(walk[-2]) / bn)
+        for key, value in zip(("max_w", "max_jump", "pre_final"), functionals):
+            acc[key].append(value)
     sizes = sorted(stats)
     ks = []
     for a, b in zip(sizes, sizes[1:]):
@@ -184,6 +293,12 @@ def lukasiewicz_profile(cfg: ScalingRunConfig) -> dict:
         for n, acc in stats.items()
     }
     return {"config": _config_dict(cfg), "per_size": summary, "ks_consecutive": ks}
+
+
+def _excursion_functionals(n: int, bn: float, sample: int, cell_seed: int,
+                           rng: np.random.Generator, tree: PlaneTree) -> tuple[int, tuple[float, ...]]:
+    walk = tree.structure.walk
+    return n, (int(walk.max()) / bn, int(tree.counts.max()) / bn, int(walk[-2]) / bn)
 
 
 # -- rendering ----------------------------------------------------------------

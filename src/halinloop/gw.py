@@ -36,6 +36,8 @@ split whose window rests on such entries is drawn from a distorted law.
 from __future__ import annotations
 
 import math
+import weakref
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -338,16 +340,20 @@ class _SizeLaw:
         return out
 
 
-_size_laws: dict[tuple, _SizeLaw] = {}
+# A law stays cached while anything holds it: the nine built last are held
+# here, and an experiment grid holds every one of its sizes while it runs,
+# so no grid builds a size's tables twice.
+_size_laws: weakref.WeakValueDictionary[tuple, _SizeLaw] = weakref.WeakValueDictionary()
+_recent_laws: deque[_SizeLaw] = deque(maxlen=9)
 
 
 def _size_law(mu: OffspringDistribution, n: int) -> _SizeLaw:
     key = (mu.name, tuple(sorted(mu.params.items())), n)
-    if key not in _size_laws:
-        if len(_size_laws) > 8:
-            _size_laws.clear()
-        _size_laws[key] = _SizeLaw(mu, n)
-    return _size_laws[key]
+    law = _size_laws.get(key)
+    if law is None:
+        law = _size_laws[key] = _SizeLaw(mu, n)
+        _recent_laws.append(law)
+    return law
 
 
 def cycle_rotation(ks: np.ndarray) -> np.ndarray:

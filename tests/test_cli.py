@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -17,7 +18,29 @@ from hypothesis import strategies as st
 import halinloop
 from halinloop import halin
 from halinloop.cli import EXIT_BUDGET, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, _build_parser, run
+from halinloop.errors import InvariantError, UsageError
 from halinloop.experiments import ScalingRunConfig, rows_to_csv, scaling_run
+
+
+_PINNED_STDOUT = [
+    (["sample", "-n", "6", "--samples", "50", "--as-map"],
+     "2b0cf93cfed3c4bfbe967ed49c4eec2ccd5f305ceacb03655e48e3f5c58b69f3"),
+    (["exp", "lukasiewicz", "--sizes", "64,128", "--samples", "20", "--seed", "3",
+      "--format", "json"],
+     "e5a5fa276b33b2898bd650cadc665e5bf0999446d5fbef48ed48234b05d433ff"),
+    (["exp", "scaling", "--sizes", "1024,4096,65536", "--samples", "5", "--seed", "42",
+      "--format", "csv"],
+     "71c564188dc7b1a2defb7b00f039b624187b52b1ea8984939ba47d5aebfa0789"),
+    (["exp", "scaling", "--sizes", "64,256,1024", "--samples", "5", "--seed", "42",
+      "--format", "json"],
+     "efa77c9944d951fd6b33a93621ac422a5258bc4c9f7e3f25dba4bd4c5ef8f8a8"),
+    (["enumerate", "-n", "7"],
+     "c279d53cb6d796bec587d8daaa94045f675ebb697e4c15070a98a9bd54b6bf5e"),
+    (["enumerate", "-n", "6", "--format", "json"],
+     "d41a4a923c0b9521c7ca926099ec6a0489f094ce48ad38f98bd017ead8591e2c"),
+    (["gh", "lemma", "-n", "4", "--exhaustive", "--format", "json"],
+     "3d9f7b55a0709b0d909f9f558224b3d1c5dce480370f80074a5e27b65fd23868"),
+]
 
 
 @pytest.fixture
@@ -194,29 +217,19 @@ class TestSampleAndMu:
         samples = json.loads(capout(["sample"] + argv + ["--format", "json"]))["samples"]
         assert hashlib.sha256(json.dumps(samples).encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("argv, digest", [
-        (["sample", "-n", "6", "--samples", "50", "--as-map"],
-         "2b0cf93cfed3c4bfbe967ed49c4eec2ccd5f305ceacb03655e48e3f5c58b69f3"),
-        (["exp", "lukasiewicz", "--sizes", "64,128", "--samples", "20", "--seed", "3",
-          "--format", "json"],
-         "e5a5fa276b33b2898bd650cadc665e5bf0999446d5fbef48ed48234b05d433ff"),
-        (["exp", "scaling", "--sizes", "1024,4096,65536", "--samples", "5", "--seed", "42",
-          "--format", "csv"],
-         "71c564188dc7b1a2defb7b00f039b624187b52b1ea8984939ba47d5aebfa0789"),
-        (["exp", "scaling", "--sizes", "64,256,1024", "--samples", "5", "--seed", "42",
-          "--format", "json"],
-         "efa77c9944d951fd6b33a93621ac422a5258bc4c9f7e3f25dba4bd4c5ef8f8a8"),
-        (["enumerate", "-n", "7"],
-         "c279d53cb6d796bec587d8daaa94045f675ebb697e4c15070a98a9bd54b6bf5e"),
-        (["enumerate", "-n", "6", "--format", "json"],
-         "d41a4a923c0b9521c7ca926099ec6a0489f094ce48ad38f98bd017ead8591e2c"),
-        (["gh", "lemma", "-n", "4", "--exhaustive", "--format", "json"],
-         "3d9f7b55a0709b0d909f9f558224b3d1c5dce480370f80074a5e27b65fd23868"),
-    ])
+    @pytest.mark.parametrize("argv, digest", _PINNED_STDOUT)
     def test_stdout_is_pinned(self, capout, monkeypatch, argv, digest):
         # sha256 of the whole stdout; the JSON digests are of the output
         # before config.weights was dropped, re-dumped without that key
         monkeypatch.delenv("HLL_SEED", raising=False)
+        assert hashlib.sha256(capout(argv).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("argv, digest", [p for p in _PINNED_STDOUT if p[0][0] == "exp"])
+    def test_exp_stdout_is_pinned_at_every_worker_count(self, capout, monkeypatch, argv, digest,
+                                                        cpus):
+        monkeypatch.delenv("HLL_SEED", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         assert hashlib.sha256(capout(argv).encode()).hexdigest() == digest
 
     def test_mu_table(self, capout):
@@ -308,6 +321,83 @@ class TestExp:
         out, err = capsys.readouterr()
         assert out == "" and "Traceback" not in err
         assert "differ beyond the bound" in err
+
+    # A grid of four cells on two CPUs forks one worker.  The patches below
+    # misbehave in that worker (any pid but the test's) or in this process.
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        """This process's pid; afterwards this is still the test's process,
+        and it has no child left, reaped or not."""
+        here = os.getpid()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        yield here
+        assert os.getpid() == here
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    _FOUR_CELLS = ["exp", "scaling", "--sizes", "64,128", "--samples", "2"]
+
+    def test_invariant_error_in_a_worker_exits_invariant(self, capsys, monkeypatch, two_cpus):
+        from halinloop.looptree import LoopGraph
+
+        real = LoopGraph.diameter
+        monkeypatch.setattr(LoopGraph, "diameter",
+                            lambda self: 10**6 if os.getpid() != two_cpus else real(self))
+        assert run(self._FOUR_CELLS) == EXIT_INVARIANT
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert "differ beyond the bound" in err
+
+    def test_usage_error_in_a_worker_exits_usage(self, capsys, monkeypatch, two_cpus):
+        # the worker fails cell 1 (n = 64) and this process cell 2 (n = 128):
+        # the first failing cell in grid order raises
+        from halinloop import experiments
+
+        real = experiments.loop_diameter
+
+        def diameter(tree):
+            if os.getpid() != two_cpus and tree.zeta == 64:
+                raise UsageError("a worker's cell failed")
+            if os.getpid() == two_cpus and tree.zeta == 128:
+                raise InvariantError("this process's cell failed")
+            return real(tree)
+
+        monkeypatch.setattr(experiments, "loop_diameter", diameter)
+        assert run(self._FOUR_CELLS) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert "a worker's cell failed" in err
+
+    def test_worker_killed_by_a_signal_exits_invariant(self, capsys, monkeypatch, two_cpus):
+        from halinloop import experiments
+
+        real = experiments.loop_diameter
+
+        def diameter(tree):
+            if os.getpid() != two_cpus:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(tree)
+
+        monkeypatch.setattr(experiments, "loop_diameter", diameter)
+        assert run(self._FOUR_CELLS) == EXIT_INVARIANT
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert "worker 1" in err and "killed by signal %d" % signal.SIGKILL in err
+
+    def test_interrupt_here_stops_the_worker(self, monkeypatch, two_cpus):
+        from halinloop import experiments
+
+        def diameter(tree):
+            if os.getpid() != two_cpus:
+                time.sleep(60)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(experiments, "loop_diameter", diameter)
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run(self._FOUR_CELLS)
+        assert time.monotonic() - t0 < 30
 
     @pytest.mark.parametrize("sizes", ["1,2", "4,4"])
     def test_bad_sizes_are_usage_errors(self, capsys, sizes):

@@ -161,6 +161,83 @@ class TestProfile:
             assert 0 <= ks[key] <= 1
 
 
+def _allow_cpus(monkeypatch, k):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+
+
+def _count_forks(monkeypatch):
+    forks = []
+    real = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
+    return forks
+
+
+class TestWorkers:
+    # the cells run on forked workers, one per allowed CPU up to one per cell
+
+    def test_same_bytes_at_every_worker_count(self, monkeypatch):
+        configs = [
+            # sizes 16 and 64 are map-paired: each cell goes on drawing marks
+            ScalingRunConfig(sizes=(16, 64, 200), samples_per_size=3, seed=4, map_diameter_max_n=64),
+            ScalingRunConfig(sizes=(32,), samples_per_size=6, seed=9),  # test_determinism_bytes'
+        ]
+
+        def outputs():
+            return [json.dumps(f(cfg), sort_keys=True)
+                    for cfg in configs for f in (scaling_run, lukasiewicz_profile)]
+
+        _allow_cpus(monkeypatch, 1)
+        want = outputs()
+        for k in (2, 3):
+            with monkeypatch.context() as m:
+                _allow_cpus(m, k)
+                forks = _count_forks(m)
+                assert outputs() == want
+                # min(CPUs, cells) workers, this process one of them
+                assert len(forks) == 4 * (k - 1)
+        with monkeypatch.context() as m:
+            _allow_cpus(m, 2)
+
+            def no_process():
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+
+            m.setattr(os, "fork", no_process)  # each share runs here instead
+            assert outputs() == want
+
+    def test_one_cell_forks_nothing(self, monkeypatch, capsys):
+        def fork():
+            pytest.fail("a one-cell grid forked")
+
+        _allow_cpus(monkeypatch, 3)
+        monkeypatch.setattr(os, "fork", fork)
+        scaling_run(ScalingRunConfig(sizes=(64,), samples_per_size=1))
+        assert run(["exp", "scaling", "--sizes", "64", "--samples", "1"]) == EXIT_OK
+        capsys.readouterr()
+
+    def test_tables_built_once_before_the_fork(self, monkeypatch):
+        # a grid of more sizes than the cache keeps on its own: each size's
+        # tables are built once, here, and no worker builds any
+        from halinloop import gw
+
+        parent, built = os.getpid(), []
+        real = gw._SizeLaw.__init__
+
+        def init(self, mu, n):
+            if os.getpid() != parent:
+                raise AssertionError("a worker built the tables of n=%d" % n)
+            built.append(n)
+            real(self, mu, n)
+
+        monkeypatch.setattr(gw, "_size_laws", type(gw._size_laws)())
+        monkeypatch.setattr(gw, "_recent_laws", type(gw._recent_laws)(maxlen=gw._recent_laws.maxlen))
+        monkeypatch.setattr(gw._SizeLaw, "__init__", init)
+        _allow_cpus(monkeypatch, 2)
+        sizes = tuple(range(40, 50))
+        cfg = ScalingRunConfig(sizes=sizes, samples_per_size=2, seed=1, map_diameter_max_n=0)
+        assert len(scaling_run(cfg)["rows"]) == 20
+        assert sorted(built) == list(sizes)
+
+
 class TestRender:
     def test_tree_dot(self):
         dot = render(PlaneTree((3, 0, 0, 0)))
