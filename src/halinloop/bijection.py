@@ -26,8 +26,9 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import InvariantError
+from .gw import _enumerated_law
 from .halin import HalinMap, build_halin, enumerate_halin, n_tree_darts, satisfies_hstar
-from .plane_tree import MarkedTree, PlaneTree, enumerate_trees
+from .plane_tree import MarkedTree, PlaneTree
 
 
 def phi(H: HalinMap) -> MarkedTree:
@@ -223,15 +224,7 @@ def pushforward_distribution(n: int, w: Callable[[int], Fraction]) -> dict:
         raise InvariantError("partition function vanishes")
     pushed = {c: m / total for c, m in shape_mass.items()}
 
-    gw_mass: dict[tuple[int, ...], Fraction] = {}
-    gw_total = Fraction(0)
-    for tree in enumerate_trees(n):
-        mass = Fraction(1)
-        for k in tree.code:
-            mass *= (k + 1) * Fraction(w(k + 4))
-        gw_mass[tree.code] = mass
-        gw_total += mass
-    gw = {c: m / gw_total for c, m in gw_mass.items()}
+    gw = _enumerated_law(n, lambda k: (k + 1) * Fraction(w(k + 4)))
 
     keys = sorted(set(pushed) | set(gw))
     rows = []

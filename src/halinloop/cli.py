@@ -20,14 +20,7 @@ import numpy as np
 from . import __version__
 from .errors import BudgetExceededError, InvariantError, UsageError
 from .experiments import ScalingRunConfig, atomic_write, mark_uniformly, render, rows_to_csv
-from .plane_tree import (
-    MarkedTree,
-    PlaneTree,
-    format_marked,
-    format_tree,
-    parse_marked,
-    parse_tree,
-)
+from .plane_tree import format_marked, format_tree, parse_marked, parse_tree
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -66,14 +59,10 @@ def _emit(args, payload: dict) -> None:
     fmt = getattr(args, "format", "text")
     if fmt == "json":
         text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
-    elif fmt == "csv":
-        if "csv" not in payload:
-            raise UsageError("no CSV form for this command")
-        text = payload["csv"]
-    elif fmt == "dot":
-        if "dot" not in payload:
-            raise UsageError("no DOT form for this command")
-        text = payload["dot"]
+    elif fmt in ("csv", "dot"):
+        if fmt not in payload:
+            raise UsageError("no %s form for this command" % fmt.upper())
+        text = payload[fmt]
     else:
         text = payload.get("text", json.dumps(_jsonable(payload), sort_keys=True)) + "\n"
     out = getattr(args, "out", None)
@@ -129,22 +118,20 @@ def _resolved_config(args, keys: list[str]) -> dict:
     return {k: getattr(args, k) for k in keys if hasattr(args, k)}
 
 
-def _parse_tree_arg(text: str | None) -> PlaneTree:
-    if not text:
-        raise UsageError("missing --tree")
-    try:
-        return parse_tree(text)
-    except (InvariantError, ValueError) as e:
-        raise UsageError("invalid tree code: %s" % e) from e
+_CODE_ARGS = {"tree": (parse_tree, "tree code"), "marked": (parse_marked, "marked tree")}
 
 
-def _parse_marked_arg(text: str | None) -> MarkedTree:
+def _parse_code_arg(args, flag: str = "tree"):
+    """The plane tree of --tree or the marked tree of --marked; a missing
+    or invalid one is a usage error."""
+    parse, what = _CODE_ARGS[flag]
+    text = getattr(args, flag)
     if not text:
-        raise UsageError("missing --marked")
+        raise UsageError("missing --%s" % flag)
     try:
-        return parse_marked(text)
+        return parse(text)
     except (InvariantError, ValueError) as e:
-        raise UsageError("invalid marked tree: %s" % e) from e
+        raise UsageError("invalid %s: %s" % (what, e)) from e
 
 
 def _mu(args):
@@ -176,7 +163,7 @@ def _cmd_enumerate(args) -> dict:
 def _cmd_build(args) -> dict:
     from .halin import build_halin
 
-    H = build_halin(_parse_tree_arg(args.tree))
+    H = build_halin(_parse_code_arg(args))
     H.validate()
     payload = {
         "tree": format_tree(H.tree),
@@ -185,7 +172,7 @@ def _cmd_build(args) -> dict:
     }
     if args.format == "dot":
         payload["dot"] = render(H)
-    payload["text"] = json.dumps(payload["map"], sort_keys=True)
+    payload["text"] = payload["map"]
     return payload
 
 
@@ -232,12 +219,12 @@ def _cmd_bij(args) -> dict:
     from .halin import build_halin, enumerate_halin
 
     if args.action == "phi":
-        H = build_halin(_parse_tree_arg(args.tree))
+        H = build_halin(_parse_code_arg(args))
         t = phi(H)
         return {"marked": format_marked(t), "text": format_marked(t),
                 "config": _resolved_config(args, ["action", "tree"])}
     if args.action == "inv":
-        H = phi_inverse(_parse_marked_arg(args.marked))
+        H = phi_inverse(_parse_code_arg(args, "marked"))
         H.validate()
         return {"tree": format_tree(H.tree), "map": H.map.to_json(),
                 "text": format_tree(H.tree),
@@ -306,7 +293,7 @@ def _load_metric(path: str):
 def _cmd_loop(args) -> dict:
     from .looptree import loop, loop_diameter
 
-    tree = _parse_tree_arg(args.tree)
+    tree = _parse_code_arg(args)
     g = loop(tree)
     payload = {
         "vertices": g.n,
@@ -356,7 +343,7 @@ def _cmd_render(args) -> dict:
     from .halin import build_halin
     from .looptree import loop
 
-    tree = _parse_tree_arg(args.tree)
+    tree = _parse_code_arg(args)
     if args.kind == "tree":
         dot = render(tree)
     elif args.kind == "looptree":

@@ -26,7 +26,6 @@ workers read them copy-on-write.
 from __future__ import annotations
 
 import csv
-import heapq
 import io
 import os
 import pickle
@@ -91,9 +90,7 @@ def _run_cells(cfg: ScalingRunConfig, cell: Callable) -> list:
             try:
                 ss = np.random.SeedSequence([cfg.seed, n, sample])
                 rng = np.random.default_rng(ss)
-                tree = sample_conditioned(mu, n, rng)
-                if tree.zeta != n or int(tree.counts.sum()) != n - 1:
-                    raise InvariantError("sampled code is not a valid tree of size n")
+                tree = sample_conditioned(mu, n, rng)  # checked by PlaneTree.from_rows
                 out.append((i, cell(n, bns[n], sample, int(ss.generate_state(1)[0]), rng, tree)))
             except Exception as e:  # handed to the caller's process, raised there
                 out.append((i, e))
@@ -119,11 +116,11 @@ def _largest_first(sizes: list[int], workers: int) -> list[list[int]]:
     first, each cell to the worker with the least total size so far
     (LPT scheduling); worker 0 takes the largest cell."""
     shares: list[list[int]] = [[] for _ in range(workers)]
-    loads = [(0, w) for w in range(workers)]
+    loads = [0] * workers
     for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
-        load, w = heapq.heappop(loads)
+        w = loads.index(min(loads))  # ties go to the lowest worker
         shares[w].append(i)
-        heapq.heappush(loads, (load + sizes[i], w))
+        loads[w] += sizes[i]
     return [sorted(share) for share in shares]
 
 
@@ -212,7 +209,7 @@ def mark_uniformly(tree: PlaneTree, rng: np.random.Generator) -> tuple[MarkedTre
     and the validated map the marked tree gives under phi_inverse."""
     from .bijection import phi_inverse
 
-    marked = MarkedTree(tree, tuple(int(rng.integers(0, k + 1)) for k in tree.code))
+    marked = MarkedTree(tree, tuple(rng.integers(0, tree.counts + 1).tolist()))
     H = phi_inverse(marked)
     H.validate()
     return marked, H
@@ -306,40 +303,29 @@ def _excursion_functionals(n: int, bn: float, sample: int, cell_seed: int,
 
 def render(obj) -> str:
     """Deterministic DOT text for a tree, looptree or Halin map."""
-    if isinstance(obj, MarkedTree):
-        obj = obj.shape
     if isinstance(obj, PlaneTree):
-        _guard(obj.zeta)
         parents = obj.parents()
-        lines = ["graph tree {"]
-        lines += ["  %d;" % v for v in range(obj.zeta)]
-        lines += ["  %d -- %d;" % (parents[v], v) for v in range(1, obj.zeta)]
-        return "\n".join(lines + ["}"])
+        return _dot("tree", obj.zeta, ["%d -- %d;" % (parents[v], v) for v in range(1, obj.zeta)])
     if isinstance(obj, LoopGraph):
-        _guard(obj.n)
-        lines = ["graph looptree {"]
-        lines += ["  %d;" % v for v in range(obj.n)]
-        lines += ["  %d -- %d;" % e for e in sorted(obj.edges)]
-        return "\n".join(lines + ["}"])
+        return _dot("looptree", obj.n, ["%d -- %d;" % e for e in sorted(obj.edges)])
     if isinstance(obj, HalinMap):
         m, code = obj.map, obj.tree.code
-        _guard(m.n_vertices)
         base = n_tree_darts(obj.tree.zeta)
-        lines = ["graph halin {"]
-        lines += ["  %d;" % v for v in range(m.n_vertices)]
-        for d, t in m.edges():
-            # red: the leaf cycle, and the tree edge above each leaf d // 2 + 1
-            style = ' [color="red"]' if d >= base or code[d // 2 + 1] == 0 else ""
-            lines.append("  %d -- %d%s;" % (m.vertex_of[d], m.vertex_of[t], style))
-        lines.append('  h [shape="point"];')
-        lines.append('  %d -- h [style="dashed"];' % m.vertex_of[m.half_edge_dart])
-        return "\n".join(lines + ["}"])
+        # red: the leaf cycle, and the tree edge above each leaf d // 2 + 1
+        lines = ["%d -- %d%s;" % (m.vertex_of[d], m.vertex_of[t],
+                                  ' [color="red"]' if d >= base or code[d // 2 + 1] == 0 else "")
+                 for d, t in m.edges()]
+        lines += ['h [shape="point"];', '%d -- h [style="dashed"];' % m.vertex_of[m.half_edge_dart]]
+        return _dot("halin", m.n_vertices, lines)
     raise UsageError("cannot render object of type %s" % type(obj).__name__)
 
 
-def _guard(size: int) -> None:
-    if size > _RENDER_GUARD:
-        raise SizeGuardError("object of size %d is too large to render" % size)
+def _dot(name: str, n: int, lines: list[str]) -> str:
+    """DOT graph name on the vertices 0..n-1 with the given edge lines."""
+    if n > _RENDER_GUARD:
+        raise SizeGuardError("object of size %d is too large to render" % n)
+    body = ["  %d;" % v for v in range(n)] + ["  " + x for x in lines]
+    return "\n".join(["graph %s {" % name, *body, "}"])
 
 
 # -- output helpers -----------------------------------------------------------

@@ -44,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import UsageError
-from .plane_tree import PlaneTree
+from .plane_tree import PlaneTree, enumerate_trees
 
 # items (trees x n) held by one call of _SizeLaw.sample_counts
 _CHUNK_ITEMS = 1 << 16
@@ -403,9 +403,15 @@ def sample_conditioned(
 def exact_conditioned_masses(mu: OffspringDistribution, n: int) -> dict[tuple[int, ...], float]:
     """Exact conditional probabilities of every shape with n vertices,
     by enumeration; usable as a goodness-of-fit reference for small n."""
-    from .plane_tree import enumerate_trees
+    return _enumerated_law(n, mu.pmf)
 
-    masses = {t.code: math.prod(map(mu.pmf, t.code)) for t in enumerate_trees(n)}
+
+def _enumerated_law(n: int, weight: Callable) -> dict:
+    """The product of weight over the child counts, normalised over every
+    tree with n vertices: the law of a branching process with offspring
+    weights proportional to weight, conditioned on n vertices.  Exact
+    when the weights are Fractions."""
+    masses = {t.code: math.prod(map(weight, t.code)) for t in enumerate_trees(n)}
     total = sum(masses.values())
     if total <= 0:
         raise UsageError("size outside the support of the total progeny")

@@ -11,8 +11,10 @@ vertices, n leaves and n bounded faces.
 
 Deleting the leaves of such a tree leaves a plane tree on its n
 internal vertices in which each vertex keeps the slot of its leaf among
-its children: one marked corner per vertex, the correspondence behind
-the paper's bijection with marked plane trees (arXiv:2104.13364).
+its children: one marked corner per vertex.  Leaf deletion is a second
+bijection onto marked plane trees, which proves the count; it is not
+the paper's bijection (arXiv:2104.13364), the weak-dual
+``bijection.phi`` whose degree law gives the pushforward.
 ``hstar_trees`` streams the trees in lexicographic code order by one
 walk over code positions that offers only the child counts the rule can
 still complete, not by filtering all plane trees on 2n vertices.

@@ -248,18 +248,12 @@ def _leaf_contraction(tree: PlaneTree) -> tuple[tuple[int, ...], list[int]]:
 
 
 def hat_H(H: HalinMap) -> tuple[FiniteMetricSpace, tuple[int, ...]]:
-    """Metric on the internal vertices of the underlying tree after
-    contracting every leaf edge; returns (space, internal vertex ids)."""
+    """Graph metric of the map with every leaf edge of its underlying
+    tree contracted into the parent, on the internal vertices; returns
+    (space, internal vertex ids)."""
     internal, image = _leaf_contraction(H.tree)
-    parents = H.tree.parents()
-    edges = [(image[parents[v]], image[v]) for v in internal if v > 0]
-    leaves = H.tree.leaves()
-    lam = len(leaves)
-    for i in range(lam):
-        a, b = image[leaves[i]], image[leaves[(i + 1) % lam]]
-        if a != b:
-            edges.append((a, b))
-    return LoopGraph(len(internal), tuple(edges)).metric_space(), internal
+    edges = tuple((image[a], image[b]) for a, b in map_graph(H.map).edges if image[a] != image[b])
+    return LoopGraph(len(internal), edges).metric_space(), internal
 
 
 def hat_L(marked: MarkedTree) -> FiniteMetricSpace:

@@ -81,6 +81,11 @@ class TestEnumerate:
         assert obj["config"]["force"] is True
 
 
+class TestBuild:
+    def test_text_is_the_map_json(self, capout):
+        assert json.loads(capout(["build", "--tree", "1 0"]))["darts"] == 5
+
+
 class TestBijection:
     def test_roundtrip_exhaustive(self, capout):
         out = capout(["bij", "roundtrip", "-n", "4", "--exhaustive"])
@@ -127,6 +132,20 @@ class TestGH:
         out = capout(["gh", "exact", "--a", str(a), "--b", str(b)])
         assert "GH=1.5" in out
 
+    def test_bounds_from_csv(self, capout, tmp_path):
+        from halinloop.gh_metric import FiniteMetricSpace, gh_lower_bound
+
+        spaces = []
+        for n in (4, 6):
+            ring = np.arange(n)
+            gap = np.abs(np.subtract.outer(ring, ring))
+            spaces.append(FiniteMetricSpace(np.minimum(gap, n - gap).astype(float)))
+            np.savetxt(tmp_path / ("c%d.csv" % n), spaces[-1].dist, delimiter=",")
+        out = json.loads(capout(["gh", "bounds", "--a", str(tmp_path / "c4.csv"),
+                                 "--b", str(tmp_path / "c6.csv"), "--seed", "7", "--format", "json"]))
+        assert out["lower"] == gh_lower_bound(*spaces, seed=7) == 0.5
+        assert out["config"]["seed"] == 7
+
     def test_budget_exit_code(self, capout, tmp_path):
         d = np.abs(np.subtract.outer(np.arange(12.0), np.arange(12.0)))
         a = tmp_path / "a.csv"
@@ -158,8 +177,8 @@ class TestGH:
 
     def test_non_metric_csv_is_usage_error(self, capout, tmp_path):
         # well-formed numbers that are not a metric: asymmetric, then a
-        # triangle-inequality violation
-        for i, text in enumerate(("0,1\n2,0\n", "0,1,5\n1,0,1\n5,1,0\n")):
+        # triangle-inequality violation, then not square
+        for i, text in enumerate(("0,1\n2,0\n", "0,1,5\n1,0,1\n5,1,0\n", "0,1,2\n1,0,1\n")):
             a = tmp_path / ("a%d.csv" % i)
             a.write_text(text)
             for action in ("exact", "bounds"):
@@ -261,6 +280,7 @@ class TestLoopAndRender:
 
     def test_bad_tree_is_usage_error(self, capout):
         capout(["loop", "--tree", "2 0"], expect=EXIT_USAGE)
+        capout(["build", "--tree", "0"], expect=EXIT_USAGE)
 
     @pytest.mark.parametrize("argv, code", [
         (["loop"], (6000,) + (0,) * 6000),  # a star: one 6001-cycle

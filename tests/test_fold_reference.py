@@ -1,6 +1,7 @@
-"""The one-path versions of gh_exact, enumerate_trees, PlanarMap.canonical
-and render(HalinMap) against the two-branch code they replaced, kept here
-as ``_reference`` functions, plus a brute-force GH on tiny spaces."""
+"""The one-path versions of gh_exact, enumerate_trees, PlanarMap.canonical,
+render(HalinMap), hat_H and mark_uniformly against the code they replaced,
+kept here as ``_reference`` functions, plus a brute-force GH on tiny
+spaces."""
 
 from itertools import product
 
@@ -9,11 +10,11 @@ import pytest
 
 from halinloop.bijection import phi, phi_inverse
 from halinloop.errors import BudgetExceededError
-from halinloop.experiments import render
+from halinloop.experiments import mark_uniformly, render
 from halinloop.gh_metric import FiniteMetricSpace, gh_exact
 from halinloop.gw import mu_from_weights, sample_conditioned, stable_mu
 from halinloop.halin import enumerate_halin
-from halinloop.looptree import halin_metric, loop
+from halinloop.looptree import LoopGraph, _leaf_contraction, halin_metric, hat_H, loop
 from halinloop.plane_tree import MarkedTree, enumerate_trees
 
 
@@ -148,6 +149,27 @@ def render_halin_reference(H):
     return "\n".join(lines + ["}"])
 
 
+def hat_H_reference(H):
+    """Leaf-contracted map metric with its edges re-derived from the tree:
+    the tree edges between internal vertices, then the images of
+    consecutive leaves around the leaf cycle when they differ."""
+    internal, image = _leaf_contraction(H.tree)
+    parents = H.tree.parents()
+    edges = [(image[parents[v]], image[v]) for v in internal if v > 0]
+    leaves = H.tree.leaves()
+    lam = len(leaves)
+    for i in range(lam):
+        a, b = image[leaves[i]], image[leaves[(i + 1) % lam]]
+        if a != b:
+            edges.append((a, b))
+    return LoopGraph(len(internal), tuple(edges)).metric_space(), internal
+
+
+def mark_uniformly_marks_reference(tree, rng):
+    """One rng.integers call per vertex, in order."""
+    return tuple(int(rng.integers(0, k + 1)) for k in tree.code)
+
+
 def _l1_space(rng, n_points):
     pts = rng.integers(0, 4, size=(n_points, int(rng.integers(1, 4))))
     return FiniteMetricSpace(np.abs(pts[:, None] - pts[None]).sum(-1))
@@ -224,3 +246,23 @@ def test_canonical_and_render_match_reference():
         assert H.canonical() == canonical_reference(m, H.outer_face)
         assert render(H) == render_halin_reference(H)
 
+
+
+def test_hat_H_matches_reference():
+    # FiniteMetricSpace's triangle check is cubic: the n = 2000 maps take minutes
+    for H in (H for H in _maps_to_compare() if H.n_internal <= 300):
+        space, internal = hat_H(H)
+        want, want_internal = hat_H_reference(H)
+        assert internal == want_internal
+        assert np.array_equal(space.dist, want.dist)
+
+
+def test_mark_uniformly_matches_reference():
+    """The same marks, and the generator left in the same state, on
+    trees whose child counts span small and large bounds."""
+    mus = (mu_from_weights(lambda k: 1.0), stable_mu(1.5), stable_mu(1.2))
+    for i, n in enumerate((1, 2, 7, 50, 10_000)):
+        tree = sample_conditioned(mus[i % 3], n, i)
+        rng, ref = np.random.default_rng(i), np.random.default_rng(i)
+        assert mark_uniformly(tree, rng)[0].marks == mark_uniformly_marks_reference(tree, ref)
+        assert rng.bit_generator.state == ref.bit_generator.state
