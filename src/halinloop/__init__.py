@@ -15,7 +15,6 @@ __version__ = "1.0.0"
 from .bijection import (
     phi,
     phi_inverse,
-    phi_inverse_with_cells,
     phi_with_faces,
     pushforward_distribution,
 )

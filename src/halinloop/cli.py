@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -254,7 +255,7 @@ def _cmd_gh(args) -> dict:
     from .gh_metric import gh_exact, gh_lower_bound
 
     if args.action == "exact" or args.action == "bounds":
-        x, y = _load_metric(args.a), _load_metric(args.b)
+        x, y = _load_metric(args, "a"), _load_metric(args, "b")
         if args.action == "exact":
             g = gh_exact(x, y, budget=args.budget)
             return {"gh": g, "text": "GH=%.6g" % g,
@@ -281,11 +282,18 @@ def _cmd_gh(args) -> dict:
             "config": _resolved_config(args, ["action", "n", "exhaustive", "force"])}
 
 
-def _load_metric(path: str):
+def _load_metric(args, flag: str):
     from .gh_metric import FiniteMetricSpace
 
+    path = getattr(args, flag)
+    if not path:
+        raise UsageError("missing --%s" % flag)
     try:
-        return FiniteMetricSpace(np.loadtxt(path, delimiter=",", ndmin=2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # numpy warns on a file with no data
+            return FiniteMetricSpace(np.loadtxt(path, delimiter=",", ndmin=2))
+    except UserWarning as e:
+        raise UsageError("no data in --%s %s" % (flag, path)) from e
     except (OSError, ValueError, InvariantError) as e:
         raise UsageError(str(e)) from e
 
@@ -325,16 +333,14 @@ def _cmd_exp(args) -> dict:
         alpha=args.alpha,
         map_diameter_max_n=args.map_diameter_max_n,
     )
+    res = scaling_run(cfg) if args.action == "scaling" else lukasiewicz_profile(cfg)
+    res["config"]["out"] = args.out
     if args.action == "scaling":
-        res = scaling_run(cfg)
-        res["config"]["out"] = args.out
         payload = {"config": res["config"], "summary": res["summary"],
                    "csv": rows_to_csv(res["rows"])}
         payload["text"] = json.dumps(_jsonable(payload["summary"]), indent=2, sort_keys=True)
         return payload
     # lukasiewicz, the one action left
-    res = lukasiewicz_profile(cfg)
-    res["config"]["out"] = args.out
     res["text"] = json.dumps(_jsonable(res["ks_consecutive"]), indent=2, sort_keys=True)
     return res
 

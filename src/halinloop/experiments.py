@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import InvariantError, SizeGuardError, UsageError
 from .gw import _size_law, b_n_of, sample_conditioned, stable_mu
-from .halin import HalinMap, n_tree_darts
+from .halin import HalinMap
 from .looptree import LoopGraph, loop_diameter, map_graph
 from .plane_tree import MarkedTree, PlaneTree
 
@@ -310,11 +310,9 @@ def render(obj) -> str:
         return _dot("looptree", obj.n, ["%d -- %d;" % e for e in sorted(obj.edges)])
     if isinstance(obj, HalinMap):
         m, code = obj.map, obj.tree.code
-        base = n_tree_darts(obj.tree.zeta)
-        # red: the leaf cycle, and the tree edge above each leaf d // 2 + 1
-        lines = ["%d -- %d%s;" % (m.vertex_of[d], m.vertex_of[t],
-                                  ' [color="red"]' if d >= base or code[d // 2 + 1] == 0 else "")
-                 for d, t in m.edges()]
+        # red: the leaf cycle, and the tree edge above each leaf
+        lines = ["%d -- %d%s;" % (u, v, ' [color="red"]' if code[u] == 0 or code[v] == 0 else "")
+                 for u, v in map_graph(m).edges]
         lines += ['h [shape="point"];', '%d -- h [style="dashed"];' % m.vertex_of[m.half_edge_dart]]
         return _dot("halin", m.n_vertices, lines)
     raise UsageError("cannot render object of type %s" % type(obj).__name__)

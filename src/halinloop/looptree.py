@@ -278,57 +278,34 @@ def check_lemma_bound(H: HalinMap, exact: bool | None = None) -> dict:
     small maps) the Gromov-Hausdorff distance is computed by branch and
     bound and checked against the bound.  Otherwise it is sandwiched
     between ``gh_lower_bound`` and half the distortion of the map sending
-    each map vertex to the looptree vertex whose contour cell is its
-    leaf-contraction image: the composition of the leaf-contraction,
-    canonical and root-shift correspondences, so at most the sum of
-    their distortions.
+    each map vertex to its match in phi(H), read off ``phi_with_faces``
+    by ``bijection._marked_vertex_of`` with no second map: the composition
+    of the leaf-contraction, canonical and root-shift correspondences, so
+    at most the sum of their distortions.  Any map onto the marked-tree
+    vertices is a correspondence, so ``upper`` bounds GH regardless.
     """
-    from .bijection import phi
+    from .bijection import _marked_vertex_of, phi_with_faces
     from .gh_metric import distortion, gh_exact, gh_lower_bound
 
-    marked = phi(H)
-    T = marked.shape
-    height = T.height()
+    marked, faces = phi_with_faces(H)
+    height = marked.shape.height()
     bound = height + 1.5
     Hs = halin_metric(H)
-    L = loop(T).metric_space()
+    L = loop(marked.shape).metric_space()
     if exact is None:
         exact = H.n_internal <= 4
-    out = {
-        "n": H.n_internal,
-        "height": height,
-        "bound": bound,
-        "gh": None,
-        "lower": None,
-        "upper": None,
-        "ok": None,
-    }
+    out = {"n": H.n_internal, "height": height, "bound": bound,
+           "gh": None, "lower": None, "upper": None, "ok": None}
     if exact:
-        g = gh_exact(Hs, L, budget=10**8)
-        out["gh"] = g
+        out["gh"] = g = gh_exact(Hs, L, budget=10**8)
         out["ok"] = g <= bound + 1e-9
         return out
 
-    owner = {w: v for v, w in enumerate(_cells(H, marked))}
-    internal, image = _leaf_contraction(H.tree)
-    f = Correspondence(tuple((x, owner[internal[i]]) for x, i in enumerate(image)))
+    f = Correspondence(tuple(enumerate(_marked_vertex_of(H, faces))))
     out["upper"] = 0.5 * distortion(f, Hs, L)
     out["lower"] = gh_lower_bound(Hs, L)
     out["ok"] = out["upper"] <= bound + 1e-9
     return out
-
-
-def _cells(H: HalinMap, marked: MarkedTree) -> tuple[int, ...]:
-    """For each vertex of the marked tree phi(H), the internal map vertex
-    carved out by its contour segment."""
-    from .bijection import phi_inverse_with_cells
-
-    H2, cells = phi_inverse_with_cells(marked)
-    if H2.tree.code != H.tree.code:
-        raise InvariantError("map does not round-trip through its marked tree")
-    if any(H.tree.code[w] == 0 for w in cells):
-        raise InvariantError("cell vertex is a leaf")
-    return cells
 
 
 def canonical_correspondence(
@@ -336,12 +313,13 @@ def canonical_correspondence(
 ) -> tuple[FiniteMetricSpace, FiniteMetricSpace, Correspondence]:
     """The vertex identification between the leaf-contracted map metric
     and the root-shifted looptree of its marked tree: each marked-tree
-    vertex is matched with the internal map vertex carved out by its
-    contour segment."""
-    from .bijection import phi
+    vertex v is matched with its cell, the internal map vertex whose leaf
+    child l_i has the face dual to v on the bounded side of boundary
+    edge i (``bijection._marked_vertex_of``); the pairs come in v order."""
+    from .bijection import _marked_vertex_of, phi_with_faces
 
-    marked = phi(H)
-    cells = _cells(H, marked)
+    marked, faces = phi_with_faces(H)
+    match = _marked_vertex_of(H, faces)
     hh, internal = hat_H(H)
-    index = {v: i for i, v in enumerate(internal)}
-    return hh, hat_L(marked), Correspondence(tuple((index[w], v) for v, w in enumerate(cells)))
+    pairs = sorted(((i, match[w]) for i, w in enumerate(internal)), key=lambda p: p[1])
+    return hh, hat_L(marked), Correspondence(tuple(pairs))

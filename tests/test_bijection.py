@@ -6,9 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from halinloop.bijection import (
+    _marked_vertex_of,
     phi,
     phi_inverse,
-    phi_inverse_with_cells,
     phi_with_faces,
     pushforward_distribution,
 )
@@ -96,12 +96,20 @@ class TestDegreeLaw:
 
 class TestCells:
     def test_cells_are_distinct_internal_vertices(self):
+        from test_map_reference import _cells, _phi_inverse_reference
+
         for n in range(1, 6):
             for mt in enumerate_marked(n):
-                H, cells = phi_inverse_with_cells(mt)
+                H = phi_inverse(mt)
+                match = _marked_vertex_of(H, phi_with_faces(H)[1])
+                for leaf, p in enumerate(H.tree.parents()):
+                    if not H.tree.code[leaf]:
+                        assert match[leaf] == match[p]
+                cells = _cells(H)
                 assert len(set(cells)) == len(cells) == n
                 for v in cells:
                     assert H.tree.code[v] > 0
+                assert cells == _phi_inverse_reference(mt)[1]
 
 
 class TestPushforward:

@@ -169,6 +169,26 @@ class TestGH:
         capout(["gh", "exact", "--a", "/no/such.csv", "--b", "/no/such.csv"],
                expect=EXIT_USAGE)
 
+    def test_missing_csv_flag_is_usage_error(self, capsys, tmp_path):
+        a = tmp_path / "a.csv"
+        a.write_text("0,1\n1,0\n")
+        for action in ("exact", "bounds"):
+            for argv, flag in ((["--b", str(a)], "a"), (["--a", str(a)], "b")):
+                assert run(["gh", action] + argv) == EXIT_USAGE
+                assert capsys.readouterr() == ("", "error (usage): missing --%s\n" % flag)
+
+    def test_empty_csv_is_one_usage_line(self, tmp_path):
+        # numpy warns on a file with no data; the warning must not reach stderr
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(halinloop.__file__))}
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        for action in ("exact", "bounds"):
+            out = subprocess.run([sys.executable, "-m", "halinloop.cli", "gh", action,
+                                  "--a", str(empty), "--b", str(empty)],
+                                 env=env, capture_output=True, text=True, timeout=120)
+            assert (out.returncode, out.stdout) == (EXIT_USAGE, "")
+            assert out.stderr == "error (usage): no data in --a %s\n" % empty
+
     def test_malformed_csv_is_usage_error(self, capout, tmp_path):
         a = tmp_path / "a.csv"
         a.write_text("0,1\n1,zero\n")

@@ -1,21 +1,29 @@
 """The one-path versions of gh_exact, enumerate_trees, PlanarMap.canonical,
-render(HalinMap), hat_H and mark_uniformly against the code they replaced,
-kept here as ``_reference`` functions, plus a brute-force GH on tiny
-spaces."""
+render(HalinMap), hat_H, mark_uniformly and the lemma's vertex matching
+against the code they replaced, kept here as ``_reference`` functions,
+plus a brute-force GH on tiny spaces."""
 
+from bisect import bisect_right
 from itertools import product
 
 import numpy as np
 import pytest
 
-from halinloop.bijection import phi, phi_inverse
+from halinloop.bijection import _marked_vertex_of, phi, phi_inverse, phi_with_faces
 from halinloop.errors import BudgetExceededError
 from halinloop.experiments import mark_uniformly, render
 from halinloop.gh_metric import FiniteMetricSpace, gh_exact
 from halinloop.gw import mu_from_weights, sample_conditioned, stable_mu
 from halinloop.halin import enumerate_halin
-from halinloop.looptree import LoopGraph, _leaf_contraction, halin_metric, hat_H, loop
-from halinloop.plane_tree import MarkedTree, enumerate_trees
+from halinloop.looptree import (
+    LoopGraph,
+    _leaf_contraction,
+    canonical_correspondence,
+    halin_metric,
+    hat_H,
+    loop,
+)
+from halinloop.plane_tree import MarkedTree, PlaneTree, enumerate_trees
 
 
 def gh_exact_reference(x, y, budget=10**9):
@@ -165,6 +173,90 @@ def hat_H_reference(H):
     return LoopGraph(len(internal), tuple(edges)).metric_space(), internal
 
 
+def phi_inverse_cells_reference(marked):
+    """(tree code, cells) of the Halin map of ``marked``: phi_inverse with
+    its cell bookkeeping, the round trip the lemma read its vertex
+    matching from.  cells[v] is the internal map vertex carved out by the
+    contour segment of marked-tree vertex v."""
+    code, marks = marked.shape.code, marked.marks
+    n = len(code)
+    if n == 1:
+        return (1, 0), (0,)
+    size = 2 * (n - 1)
+    tw = [0] * size
+    cutter = [-1] * size
+    cutter[0] = 0
+    root_pick = -1
+    x = 0
+    stack = [[0, -1, code[0], code[0] - marks[0] + 1]]
+    for v in range(1, n):
+        top = stack[-1]
+        left = top[2]
+        top[2] = left - 1
+        if left == top[3]:
+            if top[0]:
+                cutter[x] = top[0]
+            else:
+                root_pick = x
+        dv = x
+        x += 1
+        k = code[v]
+        if k:
+            stack.append([v, dv, k, k - marks[v]])
+            continue
+        cutter[x] = v
+        tw[x], tw[dv] = dv, x
+        x += 1
+        while stack[-1][2] == 0 and len(stack) > 1:
+            w, dw, _, _ = stack.pop()
+            if marks[w] == code[w]:
+                cutter[x] = w
+            tw[x], tw[dw] = dw, x
+            x += 1
+    start = [x for x, w in enumerate(cutter) if w >= 0] + [size]
+    owner = [w for w in cutter if w >= 0]
+    if root_pick < 0:
+        kids = [-1] + tw[: start[1]]
+    else:
+        y = tw[root_pick]
+        c = bisect_right(start, y) - 1
+        kids = tw[y : start[c + 1]] + [-1] + tw[start[c] : y]
+    out = [len(kids)]
+    internal_of = [0] * n
+    work = kids[::-1]
+    while work:
+        y = work.pop()
+        if y < 0:
+            out.append(0)
+            continue
+        c = bisect_right(start, y) - 1
+        internal_of[owner[c]] = len(out)
+        a, b = start[c], start[c + 1]
+        out.append(b - a)
+        work += tw[a:y][::-1]
+        work.append(-1)
+        work += tw[y + 1 : b][::-1]
+    return tuple(out), tuple(internal_of)
+
+
+def vertex_matching_reference(H):
+    """(matching, cells): each map vertex goes to the marked-tree vertex
+    whose cell is its leaf-contraction image, through the round trip."""
+    code, cells = phi_inverse_cells_reference(phi(H))
+    assert code == H.tree.code
+    owner = {w: v for v, w in enumerate(cells)}
+    internal, image = _leaf_contraction(H.tree)
+    return [owner[internal[i]] for i in image], cells
+
+
+def canonical_pairs_reference(H):
+    """canonical_correspondence's pairs: (hat_H index of cells[v], v) in v order."""
+    _, cells = vertex_matching_reference(H)
+    internal, _ = _leaf_contraction(H.tree)
+    index = {w: i for i, w in enumerate(internal)}
+    return tuple((index[w], v) for v, w in enumerate(cells))
+
+
 def mark_uniformly_marks_reference(tree, rng):
     """One rng.integers call per vertex, in order."""
     return tuple(int(rng.integers(0, k + 1)) for k in tree.code)
@@ -207,6 +299,19 @@ def _maps_to_compare():
         for mu in (mu_from_weights(lambda k: 1.0), stable_mu(1.5), stable_mu(1.2)):
             shape = sample_conditioned(mu, n, rng)
             yield phi_inverse(MarkedTree(shape, tuple(int(rng.integers(0, k + 1)) for k in shape.code)))
+
+
+def _matching_maps():
+    """Every map with n <= 7, and three sampled maps at each n in
+    {10, 50, 500, 2048} under stable 1.5 and uniform weights."""
+    for n in range(1, 8):
+        yield from enumerate_halin(n)
+    rng = np.random.default_rng(20)
+    for n in (10, 50, 500, 2048):
+        for mu in (stable_mu(1.5), mu_from_weights(lambda k: 1.0)):
+            for _ in range(3):
+                shape = sample_conditioned(mu, n, rng)
+                yield phi_inverse(MarkedTree(shape, tuple(int(rng.integers(0, k + 1)) for k in shape.code)))
 
 
 class TestGHExact:
@@ -266,3 +371,30 @@ def test_mark_uniformly_matches_reference():
         rng, ref = np.random.default_rng(i), np.random.default_rng(i)
         assert mark_uniformly(tree, rng)[0].marks == mark_uniformly_marks_reference(tree, ref)
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_vertex_matching_matches_round_trip():
+    """The matching read off phi's faces, and the cells it gives (the
+    internal vertex matched with each marked-tree vertex), equal the
+    phi_inverse round trip's."""
+    for H in _matching_maps():
+        match = _marked_vertex_of(H, phi_with_faces(H)[1])
+        want, want_cells = vertex_matching_reference(H)
+        assert match == want
+        cells = [0] * H.n_internal
+        for w, k in enumerate(H.tree.code):
+            if k:
+                cells[match[w]] = w
+        assert tuple(cells) == want_cells
+
+
+def test_canonical_correspondence_matches_reference():
+    # hat_H's cubic metric check makes the n = 7 sweep and n >= 500 slow
+    for H in _matching_maps():
+        if H.n_internal != 7 and H.n_internal <= 50:
+            assert canonical_correspondence(H)[2].pairs == canonical_pairs_reference(H)
+
+
+def test_single_edge_map_matching():
+    H = phi_inverse(MarkedTree(PlaneTree((0,)), (0,)))
+    assert _marked_vertex_of(H, phi_with_faces(H)[1]) == [0, 0]

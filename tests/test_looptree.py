@@ -405,23 +405,29 @@ class TestLemmaBound:
         assert r["ok"]
 
     def test_bounds_mode_computes_phi_once(self, monkeypatch):
+        """Bounds mode and canonical_correspondence read the vertex matching
+        off one phi_with_faces and build no second map."""
         import halinloop.bijection as bijection
+        import halinloop.halin as halin
 
         rng = np.random.default_rng(5)
         shape = sample_conditioned(mu_from_weights(lambda k: 1.0), 10, rng)
         marks = tuple(int(rng.integers(0, k + 1)) for k in shape.code)
         H = phi_inverse(MarkedTree(shape, marks))
-        calls = {"phi": 0, "phi_inverse_with_cells": 0}
-        for name in calls:
-            real = getattr(bijection, name)
+        calls = {"phi_with_faces": 0, "phi_inverse": 0, "build_halin": 0}
+        for module, name in ((bijection, "phi_with_faces"), (bijection, "phi_inverse"),
+                             (bijection, "build_halin"), (halin, "build_halin")):
+            real = getattr(module, name)
 
             def counted(*args, _real=real, _name=name):
                 calls[_name] += 1
                 return _real(*args)
 
-            monkeypatch.setattr(bijection, name, counted)
+            monkeypatch.setattr(module, name, counted)
         assert check_lemma_bound(H, exact=False)["upper"] is not None
-        assert calls == {"phi": 1, "phi_inverse_with_cells": 1}
+        assert calls == {"phi_with_faces": 1, "phi_inverse": 0, "build_halin": 0}
+        canonical_correspondence(H)
+        assert calls == {"phi_with_faces": 2, "phi_inverse": 0, "build_halin": 0}
 
     def test_upper_never_above_chain_exhaustive(self):
         for n in range(1, 6):

@@ -5,7 +5,7 @@ phi / phi^-1 over filtered face cycles, ``list.index`` and dicts."""
 import numpy as np
 import pytest
 
-from halinloop.bijection import phi_inverse_with_cells, phi_with_faces
+from halinloop.bijection import _marked_vertex_of, phi_inverse, phi_with_faces
 from halinloop.gw import mu_from_weights, sample_conditioned, stable_mu
 from halinloop.halin import build_halin, enumerate_halin
 from halinloop.plane_tree import MarkedTree, PlaneTree, enumerate_marked
@@ -206,9 +206,20 @@ def _check_map(H):
     assert (marked.shape.code, marked.marks, faces) == _phi_reference(H.tree, ref)
 
 
+def _cells(H):
+    """For each vertex of phi(H), the internal map vertex matched with it
+    by ``_marked_vertex_of``."""
+    match = _marked_vertex_of(H, phi_with_faces(H)[1])
+    cells = [0] * H.n_internal
+    for w, k in enumerate(H.tree.code):
+        if k:
+            cells[match[w]] = w
+    return tuple(cells)
+
+
 def _check_marked(mt):
-    H, internal_of = phi_inverse_with_cells(mt)
-    assert (H.tree.code, internal_of) == _phi_inverse_reference(mt)
+    H = phi_inverse(mt)
+    assert (H.tree.code, _cells(H)) == _phi_inverse_reference(mt)
     _check_map(H)
 
 
