@@ -28,12 +28,14 @@ they are frozen below.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 from typing import Callable
 
 from .errors import InvariantError
 from .gw import _enumerated_law
-from .halin import HalinMap, build_halin, enumerate_halin, n_tree_darts, satisfies_hstar
+from .experiments import sweep_trees
+from .halin import HalinMap, build_halin, n_tree_darts, satisfies_hstar
 from .plane_tree import MarkedTree, PlaneTree
 
 
@@ -219,18 +221,23 @@ def pushforward_distribution(n: int, w: Callable[[int], Fraction]) -> dict:
     total progeny n.  The conditioned law does not depend on a, b > 0,
     so unnormalized products are compared.  All arithmetic is exact.
     Both enumerations keep their size guards, so n > 10 raises
-    SizeGuardError at once.
+    SizeGuardError at once.  ``experiments.sweep_trees`` sums the masses
+    per shape on every CPU, exactly, so no CPU count changes the result.
     """
-    shape_mass: dict[tuple[int, ...], Fraction] = {}
-    total = Fraction(0)
-    for H in enumerate_halin(n):
-        t = phi(H)
-        wt = Fraction(H.weight(lambda k: Fraction(w(k))))
-        shape_mass[t.shape.code] = shape_mass.get(t.shape.code, Fraction(0)) + wt
-        total += wt
+
+    def shape_mass(tree: PlaneTree) -> Counter:
+        H = build_halin(tree)
+        return Counter({phi(H).shape.code: Fraction(H.weight(lambda k: Fraction(w(k))))})
+
+    def add(a: Counter, b: Counter) -> Counter:
+        a.update(b)  # adds b's masses to a's
+        return a
+
+    mass = sweep_trees(shape_mass, n, add=add)
+    total = sum(mass.values(), Fraction(0))
     if total == 0:
         raise InvariantError("partition function vanishes")
-    pushed = {c: m / total for c, m in shape_mass.items()}
+    pushed = {c: m / total for c, m in mass.items()}
 
     gw = _enumerated_law(n, lambda k: (k + 1) * Fraction(w(k + 4)))
 

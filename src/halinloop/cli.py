@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .errors import BudgetExceededError, InvariantError, UsageError
-from .experiments import ScalingRunConfig, atomic_write, mark_uniformly, render, rows_to_csv
+from .experiments import ScalingRunConfig, atomic_write, mark_uniformly, render, rows_to_csv, sweep_trees
 from .plane_tree import format_marked, format_tree, parse_marked, parse_tree
 
 EXIT_OK = 0
@@ -217,7 +217,7 @@ def _cmd_mu(args) -> dict:
 
 def _cmd_bij(args) -> dict:
     from .bijection import phi, phi_inverse, pushforward_distribution
-    from .halin import build_halin, enumerate_halin
+    from .halin import build_halin
 
     if args.action == "phi":
         H = build_halin(_parse_code_arg(args))
@@ -233,21 +233,25 @@ def _cmd_bij(args) -> dict:
     if args.action == "roundtrip":
         if not args.exhaustive:
             raise UsageError("roundtrip requires --exhaustive")
-        total = ok = 0
-        for H in enumerate_halin(args.n, force=args.force):
-            total += 1
+
+        def roundtrip(tree) -> int:
+            H = build_halin(tree)
             H2 = phi_inverse(phi(H))
-            ok += H2.tree.code == H.tree.code and H2.map == H.map
-        text = "%d/%d OK" % (ok, total)
-        return {"ok": ok, "total": total, "text": text,
+            if H2.tree.code != tree.code or H2.map != H.map:
+                raise InvariantError("round trip fails on the map of tree '%s'" % format_tree(tree))
+            return 1
+
+        total = sweep_trees(roundtrip, args.n, force=args.force, add=lambda a, b: a + b)
+        return {"ok": total, "total": total, "text": "%d/%d OK" % (total, total),
                 "config": _resolved_config(args, ["action", "n", "exhaustive", "force"])}
     # pushforward, the one action left (argparse rejects any other)
     if args.force:
         raise UsageError("pushforward does not take --force; its enumerations keep their size guards")
     rep = pushforward_distribution(args.n, lambda k: Fraction(1))
-    text = "n=%d max discrepancy %s (%s)" % (
-        rep["n"], rep["max_discrepancy"],
-        "exact match" if rep["exact_match"] else "MISMATCH")
+    if not rep["exact_match"]:
+        raise InvariantError("pushforward differs from the conditioned law by %s at n=%d"
+                             % (rep["max_discrepancy"], rep["n"]))
+    text = "n=%d max discrepancy %s (exact match)" % (rep["n"], rep["max_discrepancy"])
     return {**rep, "text": text, "config": _resolved_config(args, ["action", "n"])}
 
 
@@ -264,20 +268,18 @@ def _cmd_gh(args) -> dict:
         return {"lower": lb, "text": "GH>=%.6g" % lb,
                 "config": _resolved_config(args, ["action", "a", "b", "seed"])}
     # lemma, the one action left
-    from .halin import enumerate_halin
+    from .halin import build_halin
     from .looptree import check_lemma_bound
 
-    reports, lines = [], []
-    for H in enumerate_halin(args.n, force=args.force):
-        r = check_lemma_bound(H)
-        reports.append(r)
+    def lemma(tree):
+        r = check_lemma_bound(build_halin(tree))
         rel, g = ("=", r["gh"]) if r["gh"] is not None else ("<=", r["upper"])
         if not r["ok"]:
             raise InvariantError("lemma bound fails on the map of tree '%s': GH%s%.6g, bound=%.6g"
-                                 % (format_tree(H.tree), rel, g, r["bound"]))
-        lines.append("GH%s%.6g, bound=%.6g, OK" % (rel, g, r["bound"]))
-        if not args.exhaustive:
-            break
+                                 % (format_tree(tree), rel, g, r["bound"]))
+        return r, "GH%s%.6g, bound=%.6g, OK" % (rel, g, r["bound"])
+
+    reports, lines = zip(*sweep_trees(lemma, args.n, force=args.force, exhaustive=args.exhaustive))
     return {"reports": reports, "text": "\n".join(lines),
             "config": _resolved_config(args, ["action", "n", "exhaustive", "force"])}
 

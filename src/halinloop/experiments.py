@@ -20,7 +20,8 @@ may use (``os.sched_getaffinity``; ``taskset`` limits them), one
 forked worker per CPU up to one per cell, and the rows come back in
 grid order with the same bytes at any CPU count.  Each size's split
 tables are built once, in the calling process, before the fork; the
-workers read them copy-on-write.
+workers read them copy-on-write.  ``sweep_trees`` runs the exhaustive
+sweeps over maps on the same workers, one map in W to each.
 """
 
 from __future__ import annotations
@@ -32,16 +33,17 @@ import pickle
 import signal
 import tempfile
 from dataclasses import asdict, dataclass
-from functools import partial
-from typing import Callable, Sequence
+from functools import partial, reduce
+from itertools import islice
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import InvariantError, SizeGuardError, UsageError
 from .gw import _size_law, b_n_of, sample_conditioned, stable_mu
-from .halin import HalinMap
+from .halin import HalinMap, hstar_trees
 from .looptree import LoopGraph, loop_diameter, map_graph
-from .plane_tree import MarkedTree, PlaneTree
+from .plane_tree import MarkedTree, PlaneTree, marked_count_formula
 
 _RENDER_GUARD = 5_000
 _MAP_DIAMETER_MAX_N = 10_000
@@ -74,35 +76,38 @@ def _run_cells(cfg: ScalingRunConfig, cell: Callable) -> list:
     The cells are split largest n first over W = min(CPUs this process
     may use, cells) workers: this process and W - 1 forked children,
     which read the split tables built here before the fork and pipe
-    their results back.  The first failing cell in grid order raises
-    here, whichever worker ran it."""
+    their results back."""
     mu = stable_mu(cfg.alpha)
     laws = [_size_law(mu, n) for n in cfg.sizes]  # held, so cached, until the workers are done
     bns = {n: b_n_of(mu, n) for n in cfg.sizes}
     grid = [(n, sample) for n in cfg.sizes for sample in range(cfg.samples_per_size)]
 
-    def run(share: list[int]) -> list[tuple[int, object]]:
-        """(index, result) per cell of share, in grid order, up to and
-        including the first cell that raises, whose exception is its result."""
-        out = []
-        for i in share:
-            n, sample = grid[i]
-            try:
-                ss = np.random.SeedSequence([cfg.seed, n, sample])
-                rng = np.random.default_rng(ss)
-                tree = sample_conditioned(mu, n, rng)  # checked by PlaneTree.from_rows
-                out.append((i, cell(n, bns[n], sample, int(ss.generate_state(1)[0]), rng, tree)))
-            except Exception as e:  # handed to the caller's process, raised there
-                out.append((i, e))
-                break
-        return out
+    def run_cell(n_sample: tuple[int, int]):
+        n, sample = n_sample
+        ss = np.random.SeedSequence([cfg.seed, n, sample])
+        rng = np.random.default_rng(ss)
+        tree = sample_conditioned(mu, n, rng)  # checked by PlaneTree.from_rows
+        return cell(n, bns[n], sample, int(ss.generate_state(1)[0]), rng, tree)
 
-    results = dict(_in_workers(run, _largest_first([n for n, _ in grid], _worker_count(len(grid)))))
+    shares = _largest_first([n for n, _ in grid], _worker_count(len(grid)))
+    rows = _in_workers(run_cell, lambda share: ((i, grid[i]) for i in share), shares)
     del laws
-    failed = [i for i, r in results.items() if isinstance(r, Exception)]
-    if failed:
-        raise results[min(failed)]
-    return [results[i] for i in range(len(grid))]
+    return rows
+
+
+def sweep_trees(job: Callable[[PlaneTree], object], n: int, force: bool = False,
+                exhaustive: bool = True, add: Callable | None = None) -> object:
+    """[job(tree) for tree in hstar_trees(n, force)], or for its first
+    tree alone unless exhaustive, on min(CPUs, trees) workers as
+    _run_cells runs its cells: worker w of W takes trees w, w + W, ... of
+    its own walk and builds no other.  With add, the results' sum by add,
+    each worker sending back its own, so nothing is held per map."""
+    trees = hstar_trees(n, force=force)  # checks n and the size guard before any fork
+    count = marked_count_formula(n) if exhaustive else 1
+    workers = _worker_count(count)
+    out = _in_workers(job, lambda share: ((i, t) for i, t in enumerate(islice(trees, count))
+                                          if i % workers in share), [[w] for w in range(workers)], add)
+    return reduce(add, out) if add else out
 
 
 def _worker_count(cells: int) -> int:
@@ -124,11 +129,29 @@ def _largest_first(sizes: list[int], workers: int) -> list[list[int]]:
     return [sorted(share) for share in shares]
 
 
-def _in_workers(run: Callable[[list[int]], list], shares: list[list[int]]) -> list:
-    """run(share) for every share, concatenated: shares[0] here, each
-    other in a forked child that pipes back its pickled result.  A share
-    that cannot have a process of its own runs here too.  Every child is
-    reaped before this returns or raises."""
+def _in_workers(job: Callable, items: Callable[[list[int]], Iterable[tuple[int, object]]],
+                shares: list[list[int]], add: Callable | None = None) -> list:
+    """job(x) for every (index, x) of items(share), in index order, or with
+    add their sum by add per process: shares[0] here, each other in a
+    forked child that pipes back its pickled results.  A share that
+    cannot have a process of its own runs here too.  A share stops at its
+    first failure; the lowest failing index raises here, whichever worker
+    had it.  Every child is reaped before this returns or raises."""
+
+    def run(share: list[int]) -> list[tuple[int, object]]:
+        out = []
+        for i, x in items(share):
+            try:
+                r = job(x)
+            except Exception as e:  # handed to the caller's process, raised there
+                out.append((i, e))
+                break
+            if add and out:
+                out[-1] = (out[-1][0], add(out[-1][1], r))
+            else:
+                out.append((i, r))
+        return out
+
     children: list[tuple[int, int, int]] = []  # (worker, pid, read end of its pipe)
     here, payloads, statuses = list(shares[0]), {}, {}
     try:
@@ -153,7 +176,11 @@ def _in_workers(run: Callable[[list[int]], list], shares: list[list[int]]) -> li
             how = "was killed by signal %d" % -code if code < 0 else "exited with status %d" % code
             raise InvariantError("worker %d (pid %d) %s and sent no results" % (w, pid, how))
         out += pickle.loads(payloads[w])  # written by this program's own child
-    return out
+    results = dict(out)
+    failed = [i for i, r in results.items() if isinstance(r, Exception)]
+    if failed:
+        raise results[min(failed)]
+    return [results[i] for i in sorted(results)]
 
 
 def _fork(run: Callable[[list[int]], list], share: list[int]) -> tuple[int, int]:

@@ -50,6 +50,7 @@ def hstar_trees(n: int, force: bool = False) -> Iterator[PlaneTree]:
     internal vertex with 1, 2, ... children, offering only what the n
     internal vertices can still complete: the binom(3n-2, n-1)/n trees
     come out with no dead ends, and the first one without the rest.
+    n and the size guard are checked at the call, before the first tree.
     """
     if n < 1:
         raise UsageError("need n >= 1")
@@ -79,7 +80,7 @@ def hstar_trees(n: int, force: bool = False) -> Iterator[PlaneTree]:
             for c in range(2 if need == 1 < left else 1, left - need + 2):
                 yield from rec(code + (c,), rest + (c,), left - 1, need + c - 2)
 
-    yield from rec((), (-1,), n, 1)  # a stand-in parent holds the root's slot
+    return rec((), (-1,), n, 1)  # a stand-in parent holds the root's slot
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,14 @@ import time
 
 import numpy as np
 import pytest
+from conftest import _allow_cpus, _count_forks
 from hypothesis import given
 from hypothesis import strategies as st
 
 import halinloop
 from halinloop import halin
 from halinloop.cli import EXIT_BUDGET, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, _build_parser, run
-from halinloop.errors import InvariantError, UsageError
+from halinloop.errors import BudgetExceededError, InvariantError, UsageError
 from halinloop.experiments import ScalingRunConfig, rows_to_csv, scaling_run
 
 
@@ -41,6 +42,44 @@ _PINNED_STDOUT = [
     (["gh", "lemma", "-n", "4", "--exhaustive", "--format", "json"],
      "3d9f7b55a0709b0d909f9f558224b3d1c5dce480370f80074a5e27b65fd23868"),
 ]
+
+
+# the exhaustive sweeps' --format json output, pinned before they ran on
+# forked workers
+_PINNED_SWEEPS = [
+    (["bij", "roundtrip", "-n", "6", "--exhaustive"],
+     "458d338b1bc9fd069fadef6ddbf4a3cee1b6ddb21573ad1f103729f7fa1d6105"),
+    (["bij", "roundtrip", "-n", "7", "--exhaustive"],
+     "5bd89b60e4e90ced94ca1f848e4384a71f04b5173c853fbdc724c6eb92b9d068"),
+    (["bij", "pushforward", "-n", "5"],
+     "4de2c36ad009803d135824b3eb3644cf50e3b3019f345583631abf86094409d9"),
+    (["bij", "pushforward", "-n", "6"],
+     "058d0c5ac489ee67e04331a8be767f987b4d35fccfd0cc93f1310f05a480a8ce"),
+    (["gh", "lemma", "-n", "4", "--exhaustive"],
+     "3d9f7b55a0709b0d909f9f558224b3d1c5dce480370f80074a5e27b65fd23868"),
+]
+
+
+@pytest.fixture
+def no_child_left():
+    """This process's pid; afterwards this is still the test's process,
+    and it has no child left, reaped or not."""
+    here = os.getpid()
+    yield here
+    assert os.getpid() == here
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch, no_child_left):
+    """no_child_left, with two CPUs allowed: a worker is any pid but this."""
+    _allow_cpus(monkeypatch, 2)
+    return no_child_left
+
+
+def _no_fork():
+    pytest.fail("forked")
 
 
 @pytest.fixture
@@ -113,6 +152,37 @@ class TestBijection:
 
     def test_bad_marked_tree_is_usage_error(self, capout):
         capout(["bij", "inv", "--marked", "nonsense"], expect=EXIT_USAGE)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_failed_roundtrip_names_the_first_failing_tree(self, capsys, monkeypatch,
+                                                           no_child_left, cpus):
+        # phi_inverse gives a wrong map for trees 3 and 4 of the 7 at n = 3;
+        # on two CPUs a worker has tree 3 and this process tree 4
+        from halinloop import bijection
+        from halinloop.halin import build_halin, hstar_trees
+        from halinloop.plane_tree import format_tree
+
+        trees = list(hstar_trees(3))
+        real, wrong = bijection.phi_inverse, build_halin(trees[0])
+
+        def phi_inverse(marked):
+            H = real(marked)
+            return wrong if H.tree.code in (trees[3].code, trees[4].code) else H
+
+        monkeypatch.setattr(bijection, "phi_inverse", phi_inverse)
+        _allow_cpus(monkeypatch, cpus)
+        assert run(["bij", "roundtrip", "-n", "3", "--exhaustive"]) == EXIT_INVARIANT
+        assert capsys.readouterr() == (
+            "", "error (invariant): round trip fails on the map of tree '%s'\n" % format_tree(trees[3]))
+
+    def test_failed_pushforward_exits_invariant(self, capsys, monkeypatch):
+        from halinloop import bijection
+
+        monkeypatch.setattr(bijection, "_enumerated_law", lambda n, w: {})
+        assert run(["bij", "pushforward", "-n", "3"]) == EXIT_INVARIANT
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert "pushforward differs from the conditioned law" in err
 
 
 class TestGH:
@@ -203,6 +273,16 @@ class TestGH:
             a.write_text(text)
             for action in ("exact", "bounds"):
                 capout(["gh", action, "--a", str(a), "--b", str(a)], expect=EXIT_USAGE)
+
+    @pytest.mark.parametrize("text", ["0,nan\nnan,0\n", "0,inf\ninf,0\n"])
+    def test_non_finite_csv_is_one_usage_line(self, capsys, tmp_path, text):
+        # a RuntimeWarning on the way fails the test (filterwarnings in pyproject.toml)
+        a, ok = tmp_path / "a.csv", tmp_path / "ok.csv"
+        a.write_text(text)
+        ok.write_text("0,1\n1,0\n")
+        for action in ("exact", "bounds"):
+            assert run(["gh", action, "--a", str(a), "--b", str(ok)]) == EXIT_USAGE
+            assert capsys.readouterr() == ("", "error (usage): distances must be finite\n")
 
     def test_large_non_metric_csv_is_usage_error(self, capout, tmp_path):
         # the triangle check is exact past 256 points too
@@ -365,17 +445,6 @@ class TestExp:
     # A grid of four cells on two CPUs forks one worker.  The patches below
     # misbehave in that worker (any pid but the test's) or in this process.
 
-    @pytest.fixture
-    def two_cpus(self, monkeypatch):
-        """This process's pid; afterwards this is still the test's process,
-        and it has no child left, reaped or not."""
-        here = os.getpid()
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        yield here
-        assert os.getpid() == here
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
     _FOUR_CELLS = ["exp", "scaling", "--sizes", "64,128", "--samples", "2"]
 
     def test_invariant_error_in_a_worker_exits_invariant(self, capsys, monkeypatch, two_cpus):
@@ -453,6 +522,91 @@ class TestExp:
              "--seed", "2", "--format", "json"]
         )
         assert "ks_consecutive" in out
+
+
+class TestSweepWorkers:
+    # the exhaustive sweeps stride their maps over one forked worker per
+    # allowed CPU, up to one per map
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("argv, digest", _PINNED_SWEEPS)
+    def test_same_bytes_at_every_worker_count(self, capout, monkeypatch, no_child_left, argv,
+                                              digest, cpus):
+        _allow_cpus(monkeypatch, cpus)
+        forks = _count_forks(monkeypatch)
+        assert hashlib.sha256(capout(argv + ["--format", "json"]).encode()).hexdigest() == digest
+        assert len(forks) == cpus - 1  # min(CPUs, maps) - 1: each sweep has more than 3 maps
+
+    def test_failing_fork_runs_every_share_here(self, capout, monkeypatch, no_child_left):
+        def no_process():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        _allow_cpus(monkeypatch, 3)
+        monkeypatch.setattr(os, "fork", no_process)
+        for argv, digest in _PINNED_SWEEPS:
+            assert hashlib.sha256(capout(argv + ["--format", "json"]).encode()).hexdigest() == digest
+
+    def test_one_map_forks_nothing(self, capout, monkeypatch):
+        _allow_cpus(monkeypatch, 3)
+        monkeypatch.setattr(os, "fork", _no_fork)
+        assert capout(["bij", "roundtrip", "-n", "1", "--exhaustive"]).strip() == "1/1 OK"
+        assert "exact match" in capout(["bij", "pushforward", "-n", "1"])
+        assert capout(["gh", "lemma", "-n", "1", "--exhaustive"]).count("OK") == 1
+        assert capout(["gh", "lemma", "-n", "4"]).count("OK") == 1  # the first map alone
+
+    @pytest.mark.parametrize("n, message", [
+        ("0", "need n >= 1"),
+        ("11", "enumeration of maps with 11 internal vertices is too large; pass force to override"),
+    ])
+    def test_bad_n_is_refused_before_any_fork(self, capsys, monkeypatch, n, message):
+        _allow_cpus(monkeypatch, 3)
+        monkeypatch.setattr(os, "fork", _no_fork)
+        for argv in (["bij", "roundtrip", "--exhaustive"], ["bij", "pushforward"],
+                     ["gh", "lemma"], ["gh", "lemma", "--exhaustive"]):
+            assert run(argv + ["-n", n]) == EXIT_USAGE
+            assert capsys.readouterr() == ("", "error (usage): %s\n" % message)
+
+    _SWEEPS_OF_TWO = [["bij", "roundtrip", "-n", "2", "--exhaustive"], ["bij", "pushforward", "-n", "2"],
+                      ["gh", "lemma", "-n", "2", "--exhaustive"]]
+
+    @staticmethod
+    def _in_the_worker(monkeypatch, here, act):
+        """act() before each map built in any process but here: at n = 2
+        on two CPUs, the worker's map 1 (and the round trip's rebuild)."""
+        from halinloop import bijection
+
+        real = halin.build_halin
+
+        def build(tree):
+            if os.getpid() != here:
+                act()
+            return real(tree)
+
+        monkeypatch.setattr(halin, "build_halin", build)
+        monkeypatch.setattr(bijection, "build_halin", build)
+
+    @pytest.mark.parametrize("argv", _SWEEPS_OF_TWO)
+    @pytest.mark.parametrize("error, code", [
+        (InvariantError, EXIT_INVARIANT), (UsageError, EXIT_USAGE), (BudgetExceededError, EXIT_BUDGET),
+    ])
+    def test_error_in_a_worker_keeps_its_exit_code(self, capsys, monkeypatch, two_cpus, argv,
+                                                   error, code):
+        def fail():
+            raise error("a worker's map failed")
+
+        self._in_the_worker(monkeypatch, two_cpus, fail)
+        assert run(argv) == code
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert "a worker's map failed" in err
+
+    @pytest.mark.parametrize("argv", _SWEEPS_OF_TWO)
+    def test_worker_killed_by_a_signal_exits_invariant(self, capsys, monkeypatch, two_cpus, argv):
+        self._in_the_worker(monkeypatch, two_cpus, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        assert run(argv) == EXIT_INVARIANT
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert "worker 1" in err and "killed by signal %d" % signal.SIGKILL in err
 
 
 class TestGlobalBehavior:

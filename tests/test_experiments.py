@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import _allow_cpus, _count_forks
 
 from halinloop.cli import EXIT_OK, EXIT_USAGE, run
 from halinloop.errors import SizeGuardError, UsageError
@@ -16,8 +17,9 @@ from halinloop.experiments import (
     render,
     rows_to_csv,
     scaling_run,
+    sweep_trees,
 )
-from halinloop.halin import build_halin, enumerate_halin
+from halinloop.halin import build_halin, enumerate_halin, hstar_trees
 from halinloop.looptree import loop
 from halinloop.plane_tree import PlaneTree
 
@@ -161,17 +163,6 @@ class TestProfile:
             assert 0 <= ks[key] <= 1
 
 
-def _allow_cpus(monkeypatch, k):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
-
-
-def _count_forks(monkeypatch):
-    forks = []
-    real = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
-    return forks
-
-
 class TestWorkers:
     # the cells run on forked workers, one per allowed CPU up to one per cell
 
@@ -203,6 +194,16 @@ class TestWorkers:
 
             m.setattr(os, "fork", no_process)  # each share runs here instead
             assert outputs() == want
+
+    def test_sweep_takes_each_tree_once(self, monkeypatch):
+        codes = [t.code for t in hstar_trees(5)]
+        for k in (1, 2, 3):
+            with monkeypatch.context() as m:
+                _allow_cpus(m, k)
+                assert sweep_trees(lambda t: t.code, 5) == codes
+                # summed per worker, then over the workers: each tree once
+                assert sorted(sweep_trees(lambda t: [t.code], 5, add=lambda a, b: a + b)) == codes
+                assert sweep_trees(lambda t: t.code, 5, exhaustive=False) == codes[:1]
 
     def test_one_cell_forks_nothing(self, monkeypatch, capsys):
         def fork():
