@@ -147,14 +147,14 @@ def _mu(args):
 
 
 def _cmd_enumerate(args) -> dict:
-    from .halin import enumerate_halin, halin_count
+    from .halin import halin_count, hstar_trees
 
     payload = {"n": args.n, "config": _resolved_config(args, ["n", "count_only", "force"])}
     if args.count_only:
         payload["count"] = halin_count(args.n, force=args.force)
         payload["text"] = str(payload["count"])
         return payload
-    maps = [format_tree(H.tree) for H in enumerate_halin(args.n, force=args.force)]
+    maps = [format_tree(t) for t in hstar_trees(args.n, force=args.force)]
     payload["count"] = len(maps)
     payload["maps"] = maps
     payload["text"] = "\n".join([str(len(maps))] + maps)

@@ -288,34 +288,32 @@ def _summarize(rows: list[dict], cfg: ScalingRunConfig) -> dict:
     return out
 
 
+def _ks_statistic(a, b) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic, the largest gap between the
+    empirical cdfs over the pooled sample: the exact rational rounded once,
+    as scipy.stats.ks_2samp gives it in its exact mode."""
+    a, b = np.sort(a), np.sort(b)
+    pooled = np.concatenate([a, b])
+    ia, ib = np.searchsorted(a, pooled, side="right"), np.searchsorted(b, pooled, side="right")
+    return float(np.abs(ia * len(b) - ib * len(a)).max() / (len(a) * len(b)))
+
+
 def lukasiewicz_profile(cfg: ScalingRunConfig) -> dict:
     """Normalized excursion functionals (running maximum, largest jump,
     value before the final step) per size, with Kolmogorov-Smirnov
     distances between consecutive sizes reported as a stability check."""
-    from scipy.stats import ks_2samp
-
+    keys = ("max_w", "max_jump", "pre_final")
     stats: dict[int, dict[str, list[float]]] = {}
     for n, functionals in _run_cells(cfg, _excursion_functionals):
-        acc = stats.setdefault(n, {"max_w": [], "max_jump": [], "pre_final": []})
-        for key, value in zip(("max_w", "max_jump", "pre_final"), functionals):
+        acc = stats.setdefault(n, {key: [] for key in keys})
+        for key, value in zip(keys, functionals):
             acc[key].append(value)
     sizes = sorted(stats)
-    ks = []
-    for a, b in zip(sizes, sizes[1:]):
-        ks.append(
-            {
-                "sizes": [a, b],
-                **{
-                    key: float(ks_2samp(stats[a][key], stats[b][key]).statistic)
-                    for key in ("max_w", "max_jump", "pre_final")
-                },
-            }
-        )
-    summary = {
-        n: {k: {"median": float(np.median(v)), "iqr": float(np.subtract(*np.percentile(v, [75, 25])))}
-            for k, v in acc.items()}
-        for n, acc in stats.items()
-    }
+    ks = [{"sizes": [a, b], **{key: _ks_statistic(stats[a][key], stats[b][key]) for key in keys}}
+          for a, b in zip(sizes, sizes[1:])]
+    summary = {n: {k: {"median": float(np.median(v)),
+                       "iqr": float(np.subtract(*np.percentile(v, [75, 25])))} for k, v in acc.items()}
+               for n, acc in stats.items()}
     return {"config": _config_dict(cfg), "per_size": summary, "ks_consecutive": ks}
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import BudgetExceededError, InvariantError, UsageError
 
 _SLACK = 1e-9
+_TEMP_FLOATS = 2**21  # the temporaries of the triangle check and of one certificate chunk
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,7 @@ class FiniteMetricSpace:
         if np.any(np.abs(d - d.T) > _SLACK):
             raise InvariantError("distance matrix must be symmetric")
         via = np.full_like(d, np.inf)
-        step = max(1, 2**21 // max(n * n, 1))
+        step = max(1, _TEMP_FLOATS // max(n * n, 1))
         for k in range(0, n, step):  # min over k of d[i, k] + d[k, j], step k at a time
             np.minimum(via, np.min(d[:, k : k + step, None] + d[None, k : k + step], axis=1), out=via)
         if np.any(d > via + _SLACK):
@@ -76,8 +77,7 @@ class Correspondence:
 def distortion(r: Correspondence, x: FiniteMetricSpace, y: FiniteMetricSpace) -> float:
     """sup over pairs of pairs of |d_X - d_Y|."""
     r.validate(x, y)
-    idx = np.array([p[0] for p in r.pairs])
-    jdx = np.array([p[1] for p in r.pairs])
+    idx, jdx = np.array(r.pairs).T
     dx = x.dist[np.ix_(idx, idx)]
     dy = y.dist[np.ix_(jdx, jdx)]
     return float(np.abs(dx - dy).max())
@@ -85,51 +85,50 @@ def distortion(r: Correspondence, x: FiniteMetricSpace, y: FiniteMetricSpace) ->
 
 def gh_lower_bound(x: FiniteMetricSpace, y: FiniteMetricSpace, seed: int | None = 0) -> float:
     """Valid lower bounds: half the Hausdorff distance between the
-    eccentricity sets, and randomized certificates from 200 sampled
-    triples of x (any correspondence must match each triple somewhere,
-    so the best assignment bounds the distortion below).  The first
-    term is at least half the diameter gap, since each diameter is the
-    largest eccentricity.
+    eccentricity sets (at least half the diameter gap), and randomized
+    certificates from 200 sampled triples of x: any correspondence
+    matches each triple somewhere, so the best match bounds the
+    distortion below.
 
-    A triple is matched through d(a,b), d(a,c) and d(b,c), so each
-    sampled triple is compared with the distinct distance triples of y,
-    keyed by value ranks and found one first point a at a time.  That
-    is the full 3 x 3 block on a symmetric matrix with a zero diagonal;
-    on a CSV matrix symmetric and zero on the diagonal only within the
-    1e-9 slack, the bound reads those three entries as given and can
-    come out up to 1e-9 below a comparison of full blocks.
+    A triple is matched through d(a,b), d(a,c) and d(b,c), the full
+    3 x 3 block on a symmetric matrix with a zero diagonal; on a CSV
+    matrix that is so only within the 1e-9 slack, the bound can come
+    out up to 1e-9 below a comparison of full blocks.  y's |y|^3 triples
+    go in chunks of 2^21 // (200 x 3), deduplicated by value ranks within
+    a chunk, and a sample already matched within the first term drops out.
+    Beyond copies of the distance matrices, one call's temporaries stay
+    under 40 MiB whatever |x| and |y|.
     """
     if x.size == 0 or y.size == 0:
         raise UsageError("empty metric space")
-    ex, ey = np.sort(x.eccentricities), np.sort(y.eccentricities)
-    h1 = max(float(np.abs(ey - e).min()) for e in ex)
-    h2 = max(float(np.abs(ex - e).min()) for e in ey)
-    lb = 0.5 * max(h1, h2)
+    gap = np.abs(x.eccentricities[:, None] - y.eccentricities)
+    lb = 0.5 * max(float(gap.min(axis=1).max()), float(gap.min(axis=0).max()))
     rng = np.random.default_rng(seed)
     if x.size < 3:
         return lb
     subs = np.array([rng.choice(x.size, size=3, replace=False) for _ in range(200)])
     tx = x.dist[subs[:, [0, 0, 1]], subs[:, [1, 2, 2]]]
     values = np.unique(y.dist)
-    nv = len(values)
+    nv, ny = len(values), y.size
     if nv**3 >= 2**63:
         raise UsageError("too many distinct distances for the triple certificate")
-    rank = np.searchsorted(values, y.dist)
+    rank = np.searchsorted(values, y.dist).ravel()
     best = np.full(len(tx), np.inf)
-    seen = np.empty(0, dtype=np.int64)
-    for a in range(y.size):
-        keys = np.unique((rank[a, :, None] * nv + rank[a, None, :]) * nv + rank)
-        keys = keys[~np.isin(keys, seen, assume_unique=True)]
-        seen = np.union1d(seen, keys)
+    step = _TEMP_FLOATS // tx.size
+    for start in range(0, ny**3, step):
+        live = best > 2 * lb  # the others can no longer raise the bound
+        if not live.any():
+            break
+        ab, c = np.divmod(np.arange(start, min(start + step, ny**3)), ny)
+        a, b = np.divmod(ab, ny)
+        keys = np.unique((rank[ab] * nv + rank[a * ny + c]) * nv + rank[b * ny + c])
         ty = values[np.stack([keys // (nv * nv), keys // nv % nv, keys % nv])]
-        gap = np.abs(tx[:, :, None] - ty).max(axis=1)
-        best = np.minimum(best, gap.min(axis=1, initial=np.inf))
+        gap = np.abs(tx[live, :, None] - ty).max(axis=1)
+        best[live] = np.minimum(best[live], gap.min(axis=1))
     return max(lb, 0.5 * float(best.max()))
 
 
-def gh_exact(
-    x: FiniteMetricSpace, y: FiniteMetricSpace, budget: int = 10**9
-) -> float:
+def gh_exact(x: FiniteMetricSpace, y: FiniteMetricSpace, budget: int = 10**9) -> float:
     """Exact Gromov-Hausdorff distance by branch-and-bound over pairs
     of functions f: X -> Y, g: Y -> X.
 

@@ -35,6 +35,7 @@ split whose window rests on such entries is drawn from a distorted law.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from collections import deque
@@ -146,6 +147,7 @@ def mu_from_weights(w: Callable[[int], float]) -> OffspringDistribution:
     )
 
 
+@functools.cache
 def stable_mu(alpha: float) -> OffspringDistribution:
     """Power-law offspring law mu(k) = k^(-1-alpha)/zeta(alpha), k >= 1.
 
@@ -342,13 +344,14 @@ class _SizeLaw:
 
 # A law stays cached while anything holds it: the nine built last are held
 # here, and an experiment grid holds every one of its sizes while it runs,
-# so no grid builds a size's tables twice.
+# so no grid builds a size's tables twice.  Keyed by the pmf, which two laws
+# never share, though their names and parameters may agree.
 _size_laws: weakref.WeakValueDictionary[tuple, _SizeLaw] = weakref.WeakValueDictionary()
 _recent_laws: deque[_SizeLaw] = deque(maxlen=9)
 
 
 def _size_law(mu: OffspringDistribution, n: int) -> _SizeLaw:
-    key = (mu.name, tuple(sorted(mu.params.items())), n)
+    key = (mu.pmf_func, n)
     law = _size_laws.get(key)
     if law is None:
         law = _size_laws[key] = _SizeLaw(mu, n)

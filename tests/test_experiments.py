@@ -11,6 +11,7 @@ from halinloop.cli import EXIT_OK, EXIT_USAGE, run
 from halinloop.errors import SizeGuardError, UsageError
 from halinloop.experiments import (
     ScalingRunConfig,
+    _ks_statistic,
     _summarize,
     atomic_write,
     lukasiewicz_profile,
@@ -131,9 +132,12 @@ class TestScalingRun:
         assert s["slope_ci95"] == want
 
     def test_scaling_run_leaves_scipy_stats_unloaded(self):
+        # the import alone takes about a second; lukasiewicz_profile takes
+        # its KS distances in numpy
         env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(run.__code__.co_filename))}
         code = ("import sys; from halinloop.cli import run; "
                 "assert run(['exp', 'scaling', '--sizes', '64,128,256', '--samples', '5']) == 0; "
+                "assert run(['exp', 'lukasiewicz', '--sizes', '64,128,256', '--samples', '5']) == 0; "
                 "assert 'scipy.stats' not in sys.modules, 'scipy.stats loaded'")
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, timeout=120)
@@ -161,6 +165,21 @@ class TestProfile:
         ks = res["ks_consecutive"][0]
         for key in ("max_w", "max_jump", "pre_final"):
             assert 0 <= ks[key] <= 1
+
+    def test_ks_statistic_is_ks_2samp_bit_for_bit(self):
+        # ties within and across the samples, unequal sizes, and a size
+        # beyond ks_2samp's exact mode, where it takes the gap in floats
+        from scipy.stats import ks_2samp
+
+        rng = np.random.default_rng(0)
+        for i in range(300):
+            a = rng.integers(0, 5, rng.integers(1, 60)) * (0.37 if i % 2 else 1.0)
+            b = rng.integers(0, 5, rng.integers(1, 60)) * (0.37 if i % 2 else 1.0)
+            if i % 3 == 0:
+                a, b = rng.random(len(a)), rng.random(len(b))
+            assert _ks_statistic(a, b) == float(ks_2samp(a, b).statistic), i
+        a, b = rng.random(10_001), rng.random(3)
+        assert _ks_statistic(a, b) == pytest.approx(float(ks_2samp(a, b).statistic), rel=1e-15)
 
 
 class TestWorkers:

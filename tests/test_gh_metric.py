@@ -140,25 +140,21 @@ class TestExactGH:
 
 
 def _lower_bound_reference(x, y, seed=0):
-    """gh_lower_bound as a loop over all |y|^3 point triples per sampled
-    triple, comparing full 3 x 3 blocks, with its early break."""
+    """gh_lower_bound with no ranks and no chunks: each sampled triple's
+    full 3 x 3 block against those of all |y|^3 point triples at once."""
     lb = 0.5 * abs(x.diameter - y.diameter)
     ex, ey = np.sort(x.eccentricities), np.sort(y.eccentricities)
     h1 = max(float(np.abs(ey - e).min()) for e in ex)
     h2 = max(float(np.abs(ex - e).min()) for e in ey)
     lb = max(lb, 0.5 * max(h1, h2))
     rng = np.random.default_rng(seed)
-    if x.size >= 3 and y.size >= 1:
+    if x.size >= 3:
+        ys = np.array(list(product(range(y.size), repeat=3)))
+        dy = y.dist[ys[:, :, None], ys[:, None, :]]
         for _ in range(200):
             sub = rng.choice(x.size, size=3, replace=False)
             dx = x.dist[np.ix_(sub, sub)]
-            best = np.inf
-            for ys in product(range(y.size), repeat=3):
-                dy = y.dist[np.ix_(ys, ys)]
-                best = min(best, float(np.abs(dx - dy).max()))
-                if best <= 2 * lb:
-                    break
-            lb = max(lb, 0.5 * best)
+            lb = max(lb, 0.5 * float(np.abs(dx - dy).max(axis=(1, 2)).min()))
     return lb
 
 
@@ -205,3 +201,35 @@ class TestBounds:
             H = phi_inverse(MarkedTree(shape, tuple(marks.tolist())))
             x, y = halin_metric(H), loop(shape).metric_space()
             assert gh_lower_bound(x, y) == _lower_bound_reference(x, y)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_certificate_matches_reference_on_real_valued_spaces(self, seed):
+        # points in the plane against points on a line: nearly every distance
+        # distinct, so deduplication removes little, and the triples often
+        # beat the eccentricities; 16 to 24 points make 2 to 4 chunks of
+        # triples, and against itself x has lb = 0, so a sample drops out
+        # only on an exact match
+        rng = np.random.default_rng([seed, 11])
+        for (nx, px), (ny, dy, py) in (((8, 2), (16, 1, 1)), ((8, 2), (24, 1, 1)), ((10, 2), (20, 2, 1))):
+            x, y = _point_space(rng, nx, 2, px), _point_space(rng, ny, dy, py)
+            for a, b in ((x, y), (y, x), (x, x)):
+                assert gh_lower_bound(a, b, seed=seed) == _lower_bound_reference(a, b, seed=seed)
+
+    @pytest.mark.parametrize("n", [40, 80])
+    def test_certificate_temporaries_stay_under_the_stated_bound(self, n):
+        # the docstring's 40 MiB, whatever the sizes: the triples of y go
+        # through fixed chunks, and nothing is kept across them but the
+        # per-sample minimum
+        x = _point_space(np.random.default_rng(0), n, 2, 2)
+        tracemalloc.start()
+        try:
+            gh_lower_bound(x, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20, peak
+
+
+def _point_space(rng, n, dim, p):
+    pts = rng.random((n, dim))
+    return FiniteMetricSpace(np.linalg.norm(pts[:, None] - pts[None], ord=p, axis=-1))

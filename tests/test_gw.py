@@ -172,6 +172,23 @@ class TestConditionedSampler:
         assert sample_conditioned(mu, 4, 0).code == (1, 1, 1, 0)
         assert [t.code for t in sample_conditioned_many(mu, 4, 5, 0)] == [(1, 1, 1, 0)] * 5
 
+    @pytest.mark.parametrize("tilted_first", [True, False])
+    def test_laws_sharing_name_and_params_keep_their_own_tables(self, tilted_first):
+        # these weights solve to the uniform weights' (a, b) to the last bit,
+        # yet give (1, 1, 1, 0) mass 0.494 at n = 4 against 0.267
+        w2 = {4: 0.9, 5: 1.3, 6: 0.7}
+        laws = [mu_from_weights(lambda k: w2.get(k, 1.0)), mu_from_weights(lambda k: 1.0)]
+        assert laws[0].params == laws[1].params
+        for mu in laws if tilted_first else laws[::-1]:
+            counts = {}
+            for t in sample_conditioned_many(mu, 4, 20_000, 0):
+                counts[t.code] = counts.get(t.code, 0) + 1
+            for code, mass in exact_conditioned_masses(mu, 4).items():
+                assert abs(counts.get(code, 0) / 20_000 - mass) < 0.02, (code, mass)
+
+    def test_stable_laws_are_one_object_per_alpha(self):
+        assert stable_mu(1.5) is stable_mu(1.5) and stable_mu(1.5) is not stable_mu(1.2)
+
 
 class TestExactMasses:
     def test_masses_sum_to_one(self):
