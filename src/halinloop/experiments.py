@@ -7,11 +7,11 @@ all alongside the normalization b_n = (n / (c |Gamma(-alpha)|))^(1/alpha).
 Up to ``map_diameter_max_n`` vertices the map of a uniformly marked
 tree (``mark_uniformly``, shared with ``hll sample --as-map``) is
 paired with its looptree: its exact diameter (``LoopGraph.diameter``,
-iFUB) must lie within twice the height plus three of the looptree
-diameter, or the run raises InvariantError.  The summary reports the
-log-log regression slope of the median looptree diameter against n,
-which should sit near 1/alpha, and the decay of the normalized height,
-which should vanish.
+iFUB with per-vertex eccentricity bounds) must lie within twice the
+height plus three of the looptree diameter, or the run raises
+InvariantError.  The summary reports the log-log regression slope of
+the median looptree diameter against n, which should sit near 1/alpha,
+and the decay of the normalized height, which should vanish.
 
 Determinism and cores: every (size, sample) cell draws from its own
 seed derived from the run seed, so results are byte-identical
@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import InvariantError, SizeGuardError, UsageError
 from .gw import _size_law, b_n_of, sample_conditioned, stable_mu
-from .halin import HalinMap, hstar_trees
+from .halin import HalinMap, hstar_codes
 from .looptree import LoopGraph, loop_diameter, map_graph
 from .plane_tree import MarkedTree, PlaneTree, marked_count_formula
 
@@ -99,13 +99,13 @@ def sweep_trees(job: Callable[[PlaneTree], object], n: int, force: bool = False,
                 exhaustive: bool = True, add: Callable | None = None) -> object:
     """[job(tree) for tree in hstar_trees(n, force)], or for its first
     tree alone unless exhaustive, on min(CPUs, trees) workers as
-    _run_cells runs its cells: worker w of W takes trees w, w + W, ... of
-    its own walk and builds no other.  With add, the results' sum by add,
+    _run_cells runs its cells: worker w of W walks every code and builds
+    the trees w, w + W, ... alone.  With add, the results' sum by add,
     each worker sending back its own, so nothing is held per map."""
-    trees = hstar_trees(n, force=force)  # checks n and the size guard before any fork
+    codes = hstar_codes(n, force=force)  # checks n and the size guard before any fork
     count = marked_count_formula(n) if exhaustive else 1
     workers = _worker_count(count)
-    out = _in_workers(job, lambda share: ((i, t) for i, t in enumerate(islice(trees, count))
+    out = _in_workers(job, lambda share: ((i, PlaneTree(c)) for i, c in enumerate(islice(codes, count))
                                           if i % workers in share), [[w] for w in range(workers)], add)
     return reduce(add, out) if add else out
 

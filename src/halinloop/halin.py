@@ -44,13 +44,21 @@ def satisfies_hstar(tree: PlaneTree) -> bool:
 
 def hstar_trees(n: int, force: bool = False) -> Iterator[PlaneTree]:
     """Plane trees on 2n vertices with exactly one leaf child per
-    internal vertex, in lexicographic code order, streamed.
+    internal vertex, in lexicographic code order, streamed: the trees of
+    ``hstar_codes(n, force)``, which checks n and the size guard at the
+    call."""
+    return map(PlaneTree, hstar_codes(n, force))
+
+
+def hstar_codes(n: int, force: bool = False) -> Iterator[tuple[int, ...]]:
+    """The codes of ``hstar_trees(n, force)``, in the same order, with no
+    tree built.
 
     One walk fills the code slot by slot, a leaf (0) first and then an
     internal vertex with 1, 2, ... children, offering only what the n
-    internal vertices can still complete: the binom(3n-2, n-1)/n trees
+    internal vertices can still complete: the binom(3n-2, n-1)/n codes
     come out with no dead ends, and the first one without the rest.
-    n and the size guard are checked at the call, before the first tree.
+    n and the size guard are checked at the call, before the first code.
     """
     if n < 1:
         raise UsageError("need n >= 1")
@@ -62,12 +70,12 @@ def hstar_trees(n: int, force: bool = False) -> Iterator[PlaneTree]:
 
     def rec(
         code: tuple[int, ...], stack: tuple[int, ...], left: int, need: int
-    ) -> Iterator[PlaneTree]:
+    ) -> Iterator[tuple[int, ...]]:
         # stack: per open vertex, children still to come, negated once its
         # leaf child is placed (as in PlaneTree.one_leaf_child); left:
         # internal vertices still to place; need: open slots that must hold one
         if not stack:
-            yield PlaneTree(code)
+            yield code
             return
         rest, r = stack[:-1], stack[-1]
         if r > 0:  # the leaf child, while it is still to come
@@ -231,4 +239,4 @@ def enumerate_halin(n: int, force: bool = False) -> Iterator[HalinMap]:
 
 
 def halin_count(n: int, force: bool = False) -> int:
-    return sum(1 for _ in hstar_trees(n, force=force))
+    return sum(1 for _ in hstar_codes(n, force=force))

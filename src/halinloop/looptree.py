@@ -51,13 +51,37 @@ class LoopGraph:
         return sparse.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(self.n, self.n)).tocsr()
 
     def distances_from(self, sources) -> np.ndarray:
-        """BFS distances from each source; rows follow ``sources``."""
+        """BFS distances from each source; rows follow ``sources``.  The
+        adjacency is symmetric, so the directed search sees every edge
+        from both ends."""
         from scipy.sparse.csgraph import dijkstra
 
-        d = dijkstra(self._csr, unweighted=True, directed=False, indices=sources)
+        d = dijkstra(self._csr, unweighted=True, directed=True, indices=sources)
         if np.any(np.isinf(d)):
             raise UsageError("graph is disconnected")
         return np.atleast_2d(d)
+
+    def _bfs(self, source: int) -> np.ndarray:
+        """Hop distances from source, by one C breadth-first search;
+        raises UsageError on a disconnected graph.
+
+        The distances are read off the BFS tree by pointer jumping: after
+        k rounds each vertex holds its distance to its 2^k-th ancestor,
+        or to the source, which every vertex has reached once the last
+        vertex of the BFS order, a deepest one, has."""
+        from scipy.sparse.csgraph import breadth_first_order
+
+        order, pred = breadth_first_order(self._csr, source, directed=True, return_predecessors=True)
+        if order.size < self.n:
+            raise UsageError("graph is disconnected")
+        pred[source] = source
+        up = pred.astype(np.intp)
+        d = np.ones(self.n, np.intp)
+        d[source] = 0
+        while up[order[-1]] != source:
+            d += d[up]
+            up = up[up]
+        return d
 
     def all_distances(self) -> np.ndarray:
         if self.n > _MATRIX_GUARD:
@@ -69,37 +93,48 @@ class LoopGraph:
 
     def diameter(self) -> int:
         """Exact diameter by iFUB (Crescenzi et al., *On computing the
-        diameter of real-world undirected graphs*, TCS 514, 2013).
+        diameter of real-world undirected graphs*, TCS 514, 2013) with
+        the per-vertex eccentricity bounds of Takes and Kosters
+        (*Determining the diameter of small world networks*, CIKM 2011).
 
         A double sweep gives a lower bound lb and a central root; the
         vertices are then swept one BFS level at a time from the
         deepest.  A pair farther apart than 2i has an end deeper than
-        level i, whose eccentricity is already in lb, so once 2i <= lb
-        lb is the diameter.  Raises UsageError on a disconnected graph.
+        level i, whose eccentricity is at most lb, so once 2i <= lb lb
+        is the diameter.  Every sweep from s lowers the upper bound
+        hi(u) = min(hi(u), ecc(s) + d(s, u)); a vertex with hi(u) <= lb
+        needs no sweep of its own, since its eccentricity is already at
+        most lb.  Raises UsageError on a disconnected graph.
         """
+        lb, hi = 0, np.full(self.n, self.n)
+
+        def sweep(s: int) -> np.ndarray:
+            nonlocal lb
+            d = self._bfs(s)
+            ecc = int(d.max())
+            lb = max(lb, ecc)
+            np.minimum(hi, ecc + d, out=hi)
+            return d
+
         # double sweep: far vertex from an arbitrary start, then its
         # farthest partner; root the level structure between them
-        d0 = self.distances_from([0])[0]
-        a = int(d0.argmax())
-        da = self.distances_from([a])[0]
+        a = int(sweep(0).argmax())
+        da = sweep(a)
         b = int(da.argmax())
-        lb = int(da[b])
-        db = self.distances_from([b])[0]
-        mid_level = lb // 2
-        on_path = np.nonzero((da + db == lb) & (da == mid_level))[0]
-        root = int(on_path[0]) if on_path.size else a
-        dr = self.distances_from([root])[0].astype(int)
-        # vertices grouped by level, ascending vertex id within a level
-        levels = np.split(np.argsort(dr, kind="stable"), np.cumsum(np.bincount(dr))[:-1])
-        for lv in range(len(levels) - 1, -1, -1):
+        dab = int(da[b])
+        db = sweep(b)
+        on_path = np.nonzero((da + db == dab) & (da == dab // 2))[0]
+        dr = sweep(int(on_path[0]) if on_path.size else a)
+        # level lv is by_level[ends[lv - 1]:ends[lv]], ascending vertex id
+        by_level = np.argsort(dr, kind="stable")
+        ends = np.cumsum(np.bincount(dr)).tolist()
+        for lv in range(len(ends) - 1, 0, -1):
             if 2 * lv <= lb:
                 break
-            batch = levels[lv]
-            for s in range(0, len(batch), 64):
-                ecc = self.distances_from(batch[s : s + 64]).max(axis=1)
-                lb = max(lb, int(ecc.max()))
-            if 2 * lv <= lb:
-                break
+            level = by_level[ends[lv - 1] : ends[lv]]
+            for u in level[hi[level] > lb].tolist():
+                if hi[u] > lb:  # hi may have fallen since the filter
+                    sweep(u)
         return lb
 
 

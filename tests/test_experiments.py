@@ -224,6 +224,26 @@ class TestWorkers:
                 assert sorted(sweep_trees(lambda t: [t.code], 5, add=lambda a, b: a + b)) == codes
                 assert sweep_trees(lambda t: t.code, 5, exhaustive=False) == codes[:1]
 
+    def test_sweep_workers_build_only_their_own_trees(self, monkeypatch):
+        # each process counts the trees it builds; worker w of W builds
+        # trees w, w + W, ... and no other, so its j-th tree is its j-th build
+        import halinloop.experiments as ex
+
+        built = []
+
+        def counted(code):
+            built.append(code)
+            return PlaneTree(code)
+
+        monkeypatch.setattr(ex, "PlaneTree", counted)
+        codes = [t.code for t in hstar_trees(5)]
+        for k in (1, 2, 3):
+            with monkeypatch.context() as m:
+                _allow_cpus(m, k)
+                built.clear()
+                out = sweep_trees(lambda t: (t.code, len(built)), 5)
+                assert out == [(c, i // k + 1) for i, c in enumerate(codes)]
+
     def test_one_cell_forks_nothing(self, monkeypatch, capsys):
         def fork():
             pytest.fail("a one-cell grid forked")

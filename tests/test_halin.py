@@ -8,6 +8,7 @@ from halinloop.halin import (
     build_halin,
     enumerate_halin,
     halin_count,
+    hstar_codes,
     hstar_trees,
     satisfies_hstar,
 )
@@ -69,6 +70,15 @@ class TestOneLeafChildRule:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_hstar_trees_match_sorted_marked_pipeline(self, n):
         assert [t.code for t in hstar_trees(n)] == _hstar_sorted_reference(n)
+
+    def test_hstar_codes_are_the_trees_codes_checked_at_the_call(self):
+        for n in range(1, 7):
+            assert list(hstar_codes(n)) == [t.code for t in hstar_trees(n)]
+        for walk in (hstar_codes, hstar_trees):
+            with pytest.raises(SizeGuardError):
+                walk(11)  # before the first code is asked for
+            with pytest.raises(UsageError):
+                walk(0)
 
     def test_hstar_trees_stream_past_any_full_enumeration(self):
         # about 6.4 * 10^29 trees at n = 40: only a generator reaches the first

@@ -2,11 +2,13 @@ from collections import deque
 
 import numpy as np
 import pytest
+from conftest import _allow_cpus
 from hypothesis import given
 from hypothesis import strategies as st
 
 from halinloop.bijection import phi, phi_inverse
 from halinloop.errors import SizeGuardError, UsageError
+from halinloop.experiments import ScalingRunConfig, scaling_run
 from halinloop.gh_metric import Correspondence, distortion, gh_exact
 from halinloop.gw import cycle_rotation, mu_from_weights, sample_conditioned, stable_mu
 from halinloop.halin import build_halin, enumerate_halin
@@ -81,6 +83,32 @@ class TestLoopConstruction:
                 assert d[0][i] == min(i, k + 1 - i)
 
 
+def _sampled_graphs(n, count, seed):
+    """The map and the looptree of count uniformly marked trees with n
+    vertices (uniform offspring weights)."""
+    mu = mu_from_weights(lambda k: 1.0)
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        shape = sample_conditioned(mu, n, rng)
+        marks = tuple(int(rng.integers(0, k + 1)) for k in shape.code)
+        yield map_graph(phi_inverse(MarkedTree(shape, marks)).map)
+        yield loop(shape)
+
+
+@st.composite
+def _connected_multigraphs(draw):
+    """A random tree on n <= 60 vertices, in a shuffled order, plus extra
+    edges, loops and repeated edges."""
+    n = draw(st.integers(1, 60))
+    parents = [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    perm = draw(st.permutations(range(n)))
+    edges = [(perm[p], perm[v]) for v, p in enumerate(parents, 1)]
+    vertex = st.integers(0, n - 1)
+    edges += draw(st.lists(st.tuples(vertex, vertex), max_size=n))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=5)) if edges else []
+    return LoopGraph(n, tuple(draw(st.permutations(edges))))
+
+
 class TestDistances:
     def test_cycle_diameters(self):
         assert loop(PlaneTree((3, 0, 0, 0))).diameter() == 2  # C4
@@ -134,14 +162,49 @@ class TestDistances:
     @pytest.mark.parametrize("n", [32, 64, 256])
     def test_sampled_maps(self, n):
         # the sizes that used to take an all-pairs branch (up to 512 vertices)
-        mu = mu_from_weights(lambda k: 1.0)
-        rng = np.random.default_rng([6, n])
-        for _ in range(5):
-            shape = sample_conditioned(mu, n, rng)
-            marks = tuple(int(rng.integers(0, k + 1)) for k in shape.code)
-            H = phi_inverse(MarkedTree(shape, marks))
-            for g in (map_graph(H.map), loop(shape)):
-                assert g.diameter() == _all_pairs_diameter(g)
+        for g in _sampled_graphs(n, 5, [6, n]):
+            assert g.diameter() == _all_pairs_diameter(g)
+
+    @given(_connected_multigraphs())
+    def test_diameter_matches_all_pairs_property(self, g):
+        assert g.diameter() == _all_pairs_diameter(g)
+
+    def test_directed_search_matches_undirected(self):
+        # _csr holds both directions of every edge
+        from scipy.sparse.csgraph import dijkstra
+
+        for n in (8, 50, 300):
+            for g in _sampled_graphs(n, 3, [9, n]):
+                d = g.distances_from(np.arange(g.n))
+                assert np.array_equal(d, dijkstra(g._csr, unweighted=True, directed=False))
+                for s in (0, g.n // 2, g.n - 1):
+                    assert np.array_equal(g._bfs(s), d[s])
+
+    def test_pinned_map_diameters_at_16384(self, monkeypatch):
+        # the map-paired cells of `hll exp scaling --sizes 16384 --samples 20
+        # --seed 42 --map-diameter-max-n 100000`, recorded by iFUB without
+        # the per-vertex bounds (up to 8,465 sources per map); each map now
+        # takes at most 100 traversals
+        sweeps = []
+        bfs, diameter = LoopGraph._bfs, LoopGraph.diameter
+
+        def counted_bfs(self, source):
+            sweeps[-1] += 1
+            return bfs(self, source)
+
+        def counted_diameter(self):
+            sweeps.append(0)
+            return diameter(self)
+
+        _allow_cpus(monkeypatch, 1)  # the counts stay in this process
+        monkeypatch.setattr(LoopGraph, "_bfs", counted_bfs)
+        monkeypatch.setattr(LoopGraph, "diameter", counted_diameter)
+        cfg = ScalingRunConfig(sizes=(16384,), samples_per_size=20, seed=42, map_diameter_max_n=100_000)
+        assert [r["diam_map"] for r in scaling_run(cfg)["rows"]] == [
+            889, 463, 672, 704, 375, 635, 553, 585, 645, 533,
+            491, 532, 785, 437, 549, 633, 378, 708, 487, 653,
+        ]
+        assert len(sweeps) == 20 and max(sweeps) <= 100, sweeps
 
 
 def _all_pairs_diameter(g):
