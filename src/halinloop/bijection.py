@@ -7,10 +7,10 @@ form the outer polygon of D; edges dual to internal tree edges form a
 tree T spanning the dual vertices.  Each non-root vertex of T carries
 a mark recording in which corner of T its two polygon edges sit, and
 the root mark records which edge of H is the root edge.  ``phi`` maps
-the Halin map to the marked tree, ``phi_inverse`` reconstructs the map
-by cutting the contour of T at the marked corners: the resulting
-segments are the cells of the dissection, i.e. the internal vertices
-of the reconstructed underlying tree.
+the Halin map to the marked tree by a walk that marks darts, labelling
+faces only for ``phi_with_faces``; ``phi_inverse`` cuts the contour of
+T at the marked corners into the cells of the dissection, the internal
+vertices of the underlying tree, and builds its map.
 
 The two pairings agree: the tree vertex dual to the face on the bounded
 side of boundary edge i (leaf l_i to l_{i+1}) has the parent of l_i as
@@ -41,38 +41,50 @@ from .plane_tree import MarkedTree, PlaneTree
 
 def phi(H: HalinMap) -> MarkedTree:
     """Marked tree of a Halin map via its weak-dual dissection."""
-    return phi_with_faces(H)[0]
+    return _dual_walk(H)[0]
 
 
 def phi_with_faces(H: HalinMap) -> tuple[MarkedTree, tuple[int, ...]]:
-    """The marked tree together with, for each tree vertex in
-    lexicographic order, the index of the bounded face it is dual to."""
+    """phi(H) and, for each of its vertices in lexicographic order, the bounded face dual to it."""
+    marked, entered = _dual_walk(H)
+    return marked, (H.root_face, *map(H.map.face_of.__getitem__, entered))
+
+
+def _dual_walk(H: HalinMap) -> tuple[MarkedTree, list[int]]:
+    """phi(H), and in preorder the darts through which the dual tree enters the
+    other faces.  Darts, not faces, are marked: 1 unbounded, 2 root, 3 entered."""
     if not satisfies_hstar(H.tree):
         raise InvariantError("map does not satisfy the one-leaf-child rule")
     m = H.map
-    twin, step, face_of = m.twin, m.face_nxt, m.face_of
+    twin, step, h = m.twin, m.face_nxt, m.half_edge_dart
     ntree = n_tree_darts(H.tree.zeta)
     # tree dart 2(v-1) or 2(v-1)+1 is dual to an internal tree edge (2)
     # or to a polygon side (1) as its lower end v is internal or a leaf;
     # the boundary darts and the half-edge are 0
     kind = [0] * m.n_darts
     kind[0:ntree:2] = kind[1:ntree:2] = [2 if k else 1 for k in H.tree.code[1:]]
-    outer, root_face = H.outer_face, H.root_face
+    seen = bytearray(m.n_darts)
+    d = ntree  # f_0, on the unbounded face
+    while not seen[d]:
+        seen[d], d = 1, step[d]
 
-    # the root's rotation: the internal tree darts of its face, cut just
-    # after the first adjacent pair of polygon darts
-    cyc = [d for d in m.faces[root_face] if kind[d]]
+    # the root's rotation: the internal tree darts of its face from its
+    # smallest dart on, cut just after the first adjacent pair of polygon darts
+    root = seen[h] = seen[h] or 2  # 1 when the half-edge is on the unbounded face
+    face, d = [h], step[h]
+    while d != h:
+        seen[d] = root
+        face.append(d)
+        d = step[d]
+    i = face.index(min(face))
+    cyc = [d for d in face[i:] + face[:i] if kind[d]]
     r = len(cyc)
     at = next((i for i in range(r) if kind[cyc[i]] == kind[cyc[(i + 1) % r]] == 1), None)
     if at is None:
         raise InvariantError("root face lacks an adjacent polygon-dart pair")
     rot0 = [d for d in cyc[at + 2:] + cyc[: at + 2] if kind[d] == 2]
 
-    out_code = [len(rot0)]
-    out_marks = [0]  # the root mark is set below
-    faces_pre = [root_face]
-    seen = bytearray(m.n_faces)
-    seen[root_face] = 1
+    out_code, out_marks, entered = [len(rot0)], [0], []  # the root mark is set below
     # preorder over the dual tree: the stack holds the darts through
     # whose twins faces are entered.  A face entered at t lists its
     # children around the face from t on; its mark counts those before
@@ -80,31 +92,24 @@ def phi_with_faces(H: HalinMap) -> tuple[MarkedTree, tuple[int, ...]]:
     work = rot0[::-1]
     while work:
         t = twin[work.pop()]
-        f = face_of[t]
-        if f == outer:
-            raise InvariantError("dual tree leaves the bounded faces")
-        if seen[f]:
-            raise InvariantError("dual tree revisits a face")
-        seen[f] = 1
-        kids = []
-        mark = polygon = 0
-        d = step[t]
+        if seen[t]:
+            raise InvariantError("dual tree leaves the bounded faces" if seen[t] == 1
+                                 else "dual tree revisits a face")
+        seen[t] = 3
+        kids, pair, d = [], [], step[t]  # pair: the children before each polygon dart
         while d != t:
+            seen[d] = 3
             k = kind[d]
             if k == 2:
                 kids.append(d)
             elif k:
-                polygon += 1
-                if polygon == 1:
-                    mark = len(kids)
-                elif len(kids) != mark:
-                    polygon = 3  # the pair is not adjacent: never 2 again
+                pair.append(len(kids))
             d = step[d]
-        if polygon != 2:
+        if len(pair) != 2 or pair[0] != pair[1]:
             raise InvariantError("dual vertex without an adjacent polygon pair")
-        faces_pre.append(f)
+        entered.append(t)
         out_code.append(len(kids))
-        out_marks.append(mark)
+        out_marks.append(pair[0])
         work += kids[::-1]
     if len(out_code) != H.n_internal:
         raise InvariantError("dual tree does not span the bounded faces")
@@ -113,9 +118,9 @@ def phi_with_faces(H: HalinMap) -> tuple[MarkedTree, tuple[int, ...]]:
     # root edge is a leaf edge
     rd = m.root_dart
     if kind[rd] == 2:
-        dual = rd if face_of[rd] == root_face else twin[rd]
+        dual = rd if seen[rd] == root else twin[rd]
         out_marks[0] = rot0.index(dual) + 1
-    return MarkedTree(PlaneTree(tuple(out_code)), tuple(out_marks)), tuple(faces_pre)
+    return MarkedTree(PlaneTree(tuple(out_code)), tuple(out_marks)), entered
 
 
 def _marked_vertex_of(H: HalinMap, faces: tuple[int, ...]) -> list[int]:
@@ -132,13 +137,15 @@ def _marked_vertex_of(H: HalinMap, faces: tuple[int, ...]) -> list[int]:
 
 
 def phi_inverse(marked: MarkedTree) -> HalinMap:
-    """Halin map of a marked tree, by cutting the tree contour at the
-    marked corners: the segments are the cells of the dissection, i.e.
-    the internal vertices of the reconstructed underlying tree."""
+    """Halin map of a marked tree: the map of ``_cut_contour``'s tree."""
+    return build_halin(_cut_contour(marked))
+
+
+def _cut_contour(marked: MarkedTree) -> PlaneTree:
+    """Underlying tree of ``phi_inverse(marked)``: the segments of the tree
+    contour cut at the marked corners are its internal vertices."""
     code, marks = marked.shape.code, marked.marks
     n = len(code)
-    if n == 1:
-        return build_halin(PlaneTree((1, 0)))
 
     # the contour of the tree is its depth-first sequence of down and up
     # darts; tw[x] is the position of the other dart of the edge at x, and
@@ -186,7 +193,6 @@ def phi_inverse(marked: MarkedTree) -> HalinMap:
     # segment dart (through its twin), then its leaf child at the wrap; the
     # stack holds the positions through which cells are entered, -1 a leaf.
     if root_pick < 0:
-        c = 0
         kids = [-1] + tw[: start[1]]
     else:
         y = tw[root_pick]
@@ -207,7 +213,7 @@ def phi_inverse(marked: MarkedTree) -> HalinMap:
         work.append(-1)
         work += rtw[size - b : size - 1 - y]  # tw[y + 1:b] reversed
 
-    return build_halin(PlaneTree(tuple(out)))
+    return PlaneTree(tuple(out))
 
 
 def pushforward_distribution(n: int, w: Callable[[int], Fraction]) -> dict:

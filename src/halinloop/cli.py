@@ -147,18 +147,14 @@ def _mu(args):
 
 
 def _cmd_enumerate(args) -> dict:
-    from .halin import halin_count, hstar_trees
+    from .halin import halin_count, hstar_codes
 
     payload = {"n": args.n, "config": _resolved_config(args, ["n", "count_only", "force"])}
     if args.count_only:
-        payload["count"] = halin_count(args.n, force=args.force)
-        payload["text"] = str(payload["count"])
-        return payload
-    maps = [format_tree(t) for t in hstar_trees(args.n, force=args.force)]
-    payload["count"] = len(maps)
-    payload["maps"] = maps
-    payload["text"] = "\n".join([str(len(maps))] + maps)
-    return payload
+        count = halin_count(args.n, force=args.force)
+        return {**payload, "count": count, "text": str(count)}
+    maps = [" ".join(map(str, c)) for c in hstar_codes(args.n, force=args.force)]  # format_tree's text
+    return {**payload, "count": len(maps), "maps": maps, "text": "\n".join([str(len(maps))] + maps)}
 
 
 def _cmd_build(args) -> dict:
@@ -216,12 +212,11 @@ def _cmd_mu(args) -> dict:
 
 
 def _cmd_bij(args) -> dict:
-    from .bijection import phi, phi_inverse, pushforward_distribution
+    from .bijection import _cut_contour, phi, phi_inverse, pushforward_distribution
     from .halin import build_halin
 
     if args.action == "phi":
-        H = build_halin(_parse_code_arg(args))
-        t = phi(H)
+        t = phi(build_halin(_parse_code_arg(args)))
         return {"marked": format_marked(t), "text": format_marked(t),
                 "config": _resolved_config(args, ["action", "tree"])}
     if args.action == "inv":
@@ -235,9 +230,8 @@ def _cmd_bij(args) -> dict:
             raise UsageError("roundtrip requires --exhaustive")
 
         def roundtrip(tree) -> int:
-            H = build_halin(tree)
-            H2 = phi_inverse(phi(H))
-            if H2.tree.code != tree.code or H2.map != H.map:
+            # build_halin is a function of the code: the same tree, the same map
+            if _cut_contour(phi(build_halin(tree))).code != tree.code:
                 raise InvariantError("round trip fails on the map of tree '%s'" % format_tree(tree))
             return 1
 

@@ -130,6 +130,29 @@ class TestBijection:
         out = capout(["bij", "roundtrip", "-n", "4", "--exhaustive"])
         assert out.strip() == "30/30 OK"
 
+    def test_roundtrip_builds_one_map_per_tree(self, capout, monkeypatch):
+        """On one CPU, the n = 4 round trip builds and validates one
+        rotation system per tree, and phi labels no face or vertex."""
+        from halinloop import planar_map
+        from halinloop.planar_map import PlanarMap
+
+        calls = {"PlanarMap": 0, "_orbits": 0}
+        real_init, real_orbits = PlanarMap.__post_init__, planar_map._orbits
+
+        def post_init(self):
+            calls["PlanarMap"] += 1
+            real_init(self)
+
+        def orbits(perm):
+            calls["_orbits"] += 1
+            return real_orbits(perm)
+
+        monkeypatch.setattr(PlanarMap, "__post_init__", post_init)
+        monkeypatch.setattr(planar_map, "_orbits", orbits)
+        _allow_cpus(monkeypatch, 1)
+        assert capout(["bij", "roundtrip", "-n", "4", "--exhaustive"]).strip() == "30/30 OK"
+        assert calls == {"PlanarMap": 30, "_orbits": 0}
+
     def test_phi_inv_are_inverse(self, capout):
         marked = capout(["bij", "phi", "--tree", "2 0 1 0"]).strip()
         tree = capout(["bij", "inv", "--marked", marked]).strip()
@@ -156,20 +179,20 @@ class TestBijection:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_failed_roundtrip_names_the_first_failing_tree(self, capsys, monkeypatch,
                                                            no_child_left, cpus):
-        # phi_inverse gives a wrong map for trees 3 and 4 of the 7 at n = 3;
-        # on two CPUs a worker has tree 3 and this process tree 4
+        # phi_inverse's contour cut gives a wrong tree for trees 3 and 4 of
+        # the 7 at n = 3; on two CPUs a worker has tree 3 and this process tree 4
         from halinloop import bijection
-        from halinloop.halin import build_halin, hstar_trees
+        from halinloop.halin import hstar_trees
         from halinloop.plane_tree import format_tree
 
         trees = list(hstar_trees(3))
-        real, wrong = bijection.phi_inverse, build_halin(trees[0])
+        real = bijection._cut_contour
 
-        def phi_inverse(marked):
-            H = real(marked)
-            return wrong if H.tree.code in (trees[3].code, trees[4].code) else H
+        def cut_contour(marked):
+            tree = real(marked)
+            return trees[0] if tree.code in (trees[3].code, trees[4].code) else tree
 
-        monkeypatch.setattr(bijection, "phi_inverse", phi_inverse)
+        monkeypatch.setattr(bijection, "_cut_contour", cut_contour)
         _allow_cpus(monkeypatch, cpus)
         assert run(["bij", "roundtrip", "-n", "3", "--exhaustive"]) == EXIT_INVARIANT
         assert capsys.readouterr() == (

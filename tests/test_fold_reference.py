@@ -1,20 +1,21 @@
 """The one-path versions of gh_exact, enumerate_trees, PlanarMap.canonical,
-render(HalinMap), hat_H, mark_uniformly and the lemma's vertex matching
-against the code they replaced, kept here as ``_reference`` functions,
-plus a brute-force GH on tiny spaces."""
+render(HalinMap), hat_H, mark_uniformly, phi's dual walk and the lemma's
+vertex matching against the code they replaced, kept here as
+``_reference`` functions, plus a brute-force GH on tiny spaces."""
 
 from bisect import bisect_right
+from collections import Counter
 from itertools import product
 
 import numpy as np
 import pytest
 
 from halinloop.bijection import _marked_vertex_of, phi, phi_inverse, phi_with_faces
-from halinloop.errors import BudgetExceededError
+from halinloop.errors import BudgetExceededError, InvariantError
 from halinloop.experiments import mark_uniformly, render
 from halinloop.gh_metric import FiniteMetricSpace, gh_exact
 from halinloop.gw import mu_from_weights, sample_conditioned, stable_mu
-from halinloop.halin import enumerate_halin
+from halinloop.halin import HalinMap, build_halin, enumerate_halin, hstar_trees, n_tree_darts, satisfies_hstar
 from halinloop.looptree import (
     LoopGraph,
     _leaf_contraction,
@@ -239,6 +240,66 @@ def phi_inverse_cells_reference(marked):
     return tuple(out), tuple(internal_of)
 
 
+def phi_with_faces_reference(H):
+    """phi_with_faces with every face labelled: the root face's cycle is
+    read from its smallest dart, and the checks compare face labels."""
+    if not satisfies_hstar(H.tree):
+        raise InvariantError("map does not satisfy the one-leaf-child rule")
+    m = H.map
+    twin, step, face_of = m.twin, m.face_nxt, m.face_of
+    ntree = n_tree_darts(H.tree.zeta)
+    kind = [0] * m.n_darts
+    kind[0:ntree:2] = kind[1:ntree:2] = [2 if k else 1 for k in H.tree.code[1:]]
+    outer, root_face = H.outer_face, H.root_face
+    cyc = [d for d in m.faces[root_face] if kind[d]]
+    r = len(cyc)
+    at = next((i for i in range(r) if kind[cyc[i]] == kind[cyc[(i + 1) % r]] == 1), None)
+    if at is None:
+        raise InvariantError("root face lacks an adjacent polygon-dart pair")
+    rot0 = [d for d in cyc[at + 2:] + cyc[: at + 2] if kind[d] == 2]
+    out_code = [len(rot0)]
+    out_marks = [0]
+    faces_pre = [root_face]
+    seen = bytearray(m.n_faces)
+    seen[root_face] = 1
+    work = rot0[::-1]
+    while work:
+        t = twin[work.pop()]
+        f = face_of[t]
+        if f == outer:
+            raise InvariantError("dual tree leaves the bounded faces")
+        if seen[f]:
+            raise InvariantError("dual tree revisits a face")
+        seen[f] = 1
+        kids = []
+        mark = polygon = 0
+        d = step[t]
+        while d != t:
+            k = kind[d]
+            if k == 2:
+                kids.append(d)
+            elif k:
+                polygon += 1
+                if polygon == 1:
+                    mark = len(kids)
+                elif len(kids) != mark:
+                    polygon = 3
+            d = step[d]
+        if polygon != 2:
+            raise InvariantError("dual vertex without an adjacent polygon pair")
+        faces_pre.append(f)
+        out_code.append(len(kids))
+        out_marks.append(mark)
+        work += kids[::-1]
+    if len(out_code) != H.n_internal:
+        raise InvariantError("dual tree does not span the bounded faces")
+    rd = m.root_dart
+    if kind[rd] == 2:
+        dual = rd if face_of[rd] == root_face else twin[rd]
+        out_marks[0] = rot0.index(dual) + 1
+    return MarkedTree(PlaneTree(tuple(out_code)), tuple(out_marks)), tuple(faces_pre)
+
+
 def vertex_matching_reference(H):
     """(matching, cells): each map vertex goes to the marked-tree vertex
     whose cell is its leaf-contraction image, through the round trip."""
@@ -371,6 +432,59 @@ def test_mark_uniformly_matches_reference():
         rng, ref = np.random.default_rng(i), np.random.default_rng(i)
         assert mark_uniformly(tree, rng)[0].marks == mark_uniformly_marks_reference(tree, ref)
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _phi_outcome(phi_of, H):
+    try:
+        return phi_of(H)
+    except InvariantError as e:
+        return str(e)
+
+
+def test_phi_matches_reference():
+    """The dart-marking walk gives phi_with_faces' value, and phi its
+    marked tree, on every map with n <= 7 and on sampled maps up to
+    n = 2048."""
+    for H in _matching_maps():
+        want = phi_with_faces_reference(H)
+        assert phi(H) == want[0]
+        assert phi_with_faces(H) == want
+
+
+def test_phi_matches_reference_on_mismatched_maps():
+    """On the map of one tree read with another, the walk gives the
+    reference's value or raises its InvariantError: for distinct
+    one-leaf-child trees of the same size, n <= 5, with the outcomes
+    pinned per message, and for a tree read on the map of a larger one."""
+    trees = {n: list(hstar_trees(n)) for n in range(1, 6)}
+    maps = {n: [build_halin(t).map for t in ts] for n, ts in trees.items()}
+    outcomes = Counter()
+    for n_a in range(1, 6):
+        for n_b in range(n_a, 6):
+            for a in trees[n_a]:
+                for b, m in zip(trees[n_b], maps[n_b]):
+                    if a == b:
+                        continue
+                    want = _phi_outcome(phi_with_faces_reference, HalinMap(a, m))
+                    assert _phi_outcome(phi_with_faces, HalinMap(a, m)) == want
+                    assert _phi_outcome(phi, HalinMap(a, m)) == (want if isinstance(want, str) else want[0])
+                    if n_a == n_b:
+                        outcomes[want if isinstance(want, str) else "ok"] += 1
+    assert outcomes == {
+        "root face lacks an adjacent polygon-dart pair": 10_435,
+        "dual vertex without an adjacent polygon pair": 8_808,
+        "dual tree does not span the bounded faces": 1_060,
+        "dual tree revisits a face": 99,
+        "ok": 818,
+    }
+    # the n = 6 pairs (indices into hstar_trees(6)) whose revisit shows only
+    # because every dart of an entered face is marked, not just the dart
+    # that entered it
+    trees = list(hstar_trees(6))
+    for i, j in ((19, 331), (19, 572), (72, 331), (72, 572), (305, 331), (305, 572),
+                 (328, 331), (328, 572), (493, 526), (562, 331), (562, 572)):
+        H = HalinMap(trees[i], build_halin(trees[j]).map)
+        assert _phi_outcome(phi, H) == _phi_outcome(phi_with_faces_reference, H) == "dual tree revisits a face"
 
 
 def test_vertex_matching_matches_round_trip():

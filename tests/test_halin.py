@@ -103,6 +103,13 @@ class TestEnumeration:
 
 
 class TestStructure:
+    def test_build_is_a_function_of_the_code(self):
+        """Two builds of a code give equal rotation systems, so a round
+        trip that gives back the tree gives back the map."""
+        for n in range(1, 7):
+            for code in hstar_codes(n):
+                assert build_halin(PlaneTree(code)).map == build_halin(PlaneTree(code)).map
+
     def test_validate_all_small(self):
         for n in range(1, 6):
             for H in enumerate_halin(n):
