@@ -40,7 +40,11 @@ def run(argv: list[str]) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
-        _emit(args, args.func(args))
+        payload = args.func(args)
+        # the resolved config is every parsed option, unless the handler resolved more
+        plumbing = ("command", "func", "format", "out")
+        payload.setdefault("config", {k: v for k, v in vars(args).items() if k not in plumbing})
+        _emit(args, payload)
     except BudgetExceededError as e:
         _emit_error(args, "budget", e)
         return EXIT_BUDGET
@@ -57,7 +61,7 @@ def run(argv: list[str]) -> int:
 
 
 def _emit(args, payload: dict) -> None:
-    fmt = getattr(args, "format", "text")
+    fmt = args.format
     if fmt == "json":
         text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
     elif fmt in ("csv", "dot"):
@@ -66,10 +70,9 @@ def _emit(args, payload: dict) -> None:
         text = payload[fmt]
     else:
         text = payload.get("text", json.dumps(_jsonable(payload), sort_keys=True)) + "\n"
-    out = getattr(args, "out", None)
-    if out:
+    if args.out:
         try:
-            atomic_write(out, text)
+            atomic_write(args.out, text)
         except OSError as e:
             raise UsageError(str(e)) from e
     else:
@@ -77,7 +80,7 @@ def _emit(args, payload: dict) -> None:
 
 
 def _emit_error(args, kind: str, exc: Exception) -> None:
-    if getattr(args, "format", "text") == "json":
+    if args.format == "json":
         sys.stderr.write(json.dumps({"error": kind, "message": str(exc)}) + "\n")
     else:
         sys.stderr.write("error (%s): %s\n" % (kind, exc))
@@ -103,10 +106,10 @@ def _jsonable(x):
     return x
 
 
-def _seed(text: str) -> int:
-    """A seed as numpy takes it: a non-negative integer."""
+def _count(text: str) -> int:
+    """A non-negative integer: a seed as numpy takes it, or a count."""
     if not text.isdigit():
-        raise argparse.ArgumentTypeError("seed must be a non-negative integer, got %r" % text)
+        raise argparse.ArgumentTypeError("expected a non-negative integer, got %r" % text)
     return int(text)
 
 
@@ -115,22 +118,15 @@ def _default_seed() -> str:
     return os.environ.get("HLL_SEED", "0")
 
 
-def _resolved_config(args, keys: list[str]) -> dict:
-    return {k: getattr(args, k) for k in keys if hasattr(args, k)}
-
-
 _CODE_ARGS = {"tree": (parse_tree, "tree code"), "marked": (parse_marked, "marked tree")}
 
 
 def _parse_code_arg(args, flag: str = "tree"):
-    """The plane tree of --tree or the marked tree of --marked; a missing
-    or invalid one is a usage error."""
+    """The plane tree of --tree or the marked tree of --marked; an
+    invalid one is a usage error."""
     parse, what = _CODE_ARGS[flag]
-    text = getattr(args, flag)
-    if not text:
-        raise UsageError("missing --%s" % flag)
     try:
-        return parse(text)
+        return parse(getattr(args, flag))
     except (InvariantError, ValueError) as e:
         raise UsageError("invalid %s: %s" % (what, e)) from e
 
@@ -138,7 +134,7 @@ def _parse_code_arg(args, flag: str = "tree"):
 def _mu(args):
     from .gw import mu_from_weights, stable_mu
 
-    if getattr(args, "alpha", None) is not None:
+    if args.alpha is not None:
         return stable_mu(args.alpha)
     return mu_from_weights(lambda k: 1.0)
 
@@ -149,12 +145,12 @@ def _mu(args):
 def _cmd_enumerate(args) -> dict:
     from .halin import halin_count, hstar_codes
 
-    payload = {"n": args.n, "config": _resolved_config(args, ["n", "count_only", "force"])}
     if args.count_only:
         count = halin_count(args.n, force=args.force)
-        return {**payload, "count": count, "text": str(count)}
+        return {"n": args.n, "count": count, "text": str(count)}
     maps = [" ".join(map(str, c)) for c in hstar_codes(args.n, force=args.force)]  # format_tree's text
-    return {**payload, "count": len(maps), "maps": maps, "text": "\n".join([str(len(maps))] + maps)}
+    return {"n": args.n, "count": len(maps), "maps": maps,
+            "text": "\n".join([str(len(maps))] + maps)}
 
 
 def _cmd_build(args) -> dict:
@@ -162,11 +158,7 @@ def _cmd_build(args) -> dict:
 
     H = build_halin(_parse_code_arg(args))
     H.validate()
-    payload = {
-        "tree": format_tree(H.tree),
-        "map": H.map.to_json(),
-        "config": _resolved_config(args, ["tree"]),
-    }
+    payload = {"tree": format_tree(H.tree), "map": H.map.to_json()}
     if args.format == "dot":
         payload["dot"] = render(H)
     payload["text"] = payload["map"]
@@ -185,11 +177,7 @@ def _cmd_sample(args) -> dict:
                  for _ in range(args.samples)]
     else:
         trees = [format_tree(t) for t in sample_conditioned_many(mu, args.n, args.samples, rng)]
-    return {
-        "samples": trees,
-        "config": _resolved_config(args, ["n", "samples", "seed", "alpha", "as_map"]),
-        "text": "\n".join(trees),
-    }
+    return {"samples": trees, "text": "\n".join(trees)}
 
 
 def _cmd_mu(args) -> dict:
@@ -197,71 +185,70 @@ def _cmd_mu(args) -> dict:
 
     mu = _mu(args)
     table = [mu.pmf(k) for k in range(args.kmax + 1)]
-    payload = {
-        "name": mu.name,
-        "mean": mu.mean,
-        "alpha": mu.alpha,
-        "tail_constant": mu.tail_constant,
-        "pmf": table,
-        "config": _resolved_config(args, ["alpha", "kmax"]),
-    }
+    payload = {"name": mu.name, "mean": mu.mean, "alpha": mu.alpha,
+               "tail_constant": mu.tail_constant, "pmf": table}
     if args.n:
         payload["b_n"] = b_n_of(mu, args.n)
     payload["text"] = "\n".join("mu(%d) = %.12g" % (k, p) for k, p in enumerate(table))
     return payload
 
 
-def _cmd_bij(args) -> dict:
-    from .bijection import _cut_contour, phi, phi_inverse, pushforward_distribution
+def _cmd_phi(args) -> dict:
+    from .bijection import phi
     from .halin import build_halin
 
-    if args.action == "phi":
-        t = phi(build_halin(_parse_code_arg(args)))
-        return {"marked": format_marked(t), "text": format_marked(t),
-                "config": _resolved_config(args, ["action", "tree"])}
-    if args.action == "inv":
-        H = phi_inverse(_parse_code_arg(args, "marked"))
-        H.validate()
-        return {"tree": format_tree(H.tree), "map": H.map.to_json(),
-                "text": format_tree(H.tree),
-                "config": _resolved_config(args, ["action", "marked"])}
-    if args.action == "roundtrip":
-        if not args.exhaustive:
-            raise UsageError("roundtrip requires --exhaustive")
+    marked = format_marked(phi(build_halin(_parse_code_arg(args))))
+    return {"marked": marked, "text": marked}
 
-        def roundtrip(tree) -> int:
-            # build_halin is a function of the code: the same tree, the same map
-            if _cut_contour(phi(build_halin(tree))).code != tree.code:
-                raise InvariantError("round trip fails on the map of tree '%s'" % format_tree(tree))
-            return 1
 
-        total = sweep_trees(roundtrip, args.n, force=args.force, add=lambda a, b: a + b)
-        return {"ok": total, "total": total, "text": "%d/%d OK" % (total, total),
-                "config": _resolved_config(args, ["action", "n", "exhaustive", "force"])}
-    # pushforward, the one action left (argparse rejects any other)
-    if args.force:
-        raise UsageError("pushforward does not take --force; its enumerations keep their size guards")
+def _cmd_inv(args) -> dict:
+    from .bijection import phi_inverse
+
+    H = phi_inverse(_parse_code_arg(args, "marked"))
+    H.validate()
+    return {"tree": format_tree(H.tree), "map": H.map.to_json(), "text": format_tree(H.tree)}
+
+
+def _cmd_roundtrip(args) -> dict:
+    from .bijection import _cut_contour, phi
+    from .halin import build_halin
+
+    def roundtrip(tree) -> int:
+        # build_halin is a function of the code: the same tree, the same map
+        if _cut_contour(phi(build_halin(tree))).code != tree.code:
+            raise InvariantError("round trip fails on the map of tree '%s'" % format_tree(tree))
+        return 1
+
+    total = sweep_trees(roundtrip, args.n, force=args.force, add=lambda a, b: a + b)
+    return {"ok": total, "total": total, "text": "%d/%d OK" % (total, total)}
+
+
+def _cmd_pushforward(args) -> dict:
+    from .bijection import pushforward_distribution
+
     rep = pushforward_distribution(args.n, lambda k: Fraction(1))
     if not rep["exact_match"]:
         raise InvariantError("pushforward differs from the conditioned law by %s at n=%d"
                              % (rep["max_discrepancy"], rep["n"]))
     text = "n=%d max discrepancy %s (exact match)" % (rep["n"], rep["max_discrepancy"])
-    return {**rep, "text": text, "config": _resolved_config(args, ["action", "n"])}
+    return {**rep, "text": text}
 
 
-def _cmd_gh(args) -> dict:
-    from .gh_metric import gh_exact, gh_lower_bound
+def _cmd_gh_exact(args) -> dict:
+    from .gh_metric import gh_exact
 
-    if args.action == "exact" or args.action == "bounds":
-        x, y = _load_metric(args, "a"), _load_metric(args, "b")
-        if args.action == "exact":
-            g = gh_exact(x, y, budget=args.budget)
-            return {"gh": g, "text": "GH=%.6g" % g,
-                    "config": _resolved_config(args, ["action", "a", "b", "budget"])}
-        lb = gh_lower_bound(x, y, seed=args.seed)
-        return {"lower": lb, "text": "GH>=%.6g" % lb,
-                "config": _resolved_config(args, ["action", "a", "b", "seed"])}
-    # lemma, the one action left
+    g = gh_exact(_load_metric(args, "a"), _load_metric(args, "b"), budget=args.budget)
+    return {"gh": g, "text": "GH=%.6g" % g}
+
+
+def _cmd_gh_bounds(args) -> dict:
+    from .gh_metric import gh_lower_bound
+
+    lb = gh_lower_bound(_load_metric(args, "a"), _load_metric(args, "b"), seed=args.seed)
+    return {"lower": lb, "text": "GH>=%.6g" % lb}
+
+
+def _cmd_lemma(args) -> dict:
     from .halin import build_halin
     from .looptree import check_lemma_bound
 
@@ -274,16 +261,13 @@ def _cmd_gh(args) -> dict:
         return r, "GH%s%.6g, bound=%.6g, OK" % (rel, g, r["bound"])
 
     reports, lines = zip(*sweep_trees(lemma, args.n, force=args.force, exhaustive=args.exhaustive))
-    return {"reports": reports, "text": "\n".join(lines),
-            "config": _resolved_config(args, ["action", "n", "exhaustive", "force"])}
+    return {"reports": reports, "text": "\n".join(lines)}
 
 
 def _load_metric(args, flag: str):
     from .gh_metric import FiniteMetricSpace
 
     path = getattr(args, flag)
-    if not path:
-        raise UsageError("missing --%s" % flag)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # numpy warns on a file with no data
@@ -299,12 +283,7 @@ def _cmd_loop(args) -> dict:
 
     tree = _parse_code_arg(args)
     g = loop(tree)
-    payload = {
-        "vertices": g.n,
-        "edges": sorted(g.edges),
-        "diameter": loop_diameter(tree),
-        "config": _resolved_config(args, ["tree"]),
-    }
+    payload = {"vertices": g.n, "edges": sorted(g.edges), "diameter": loop_diameter(tree)}
     if args.format == "dot":
         payload["dot"] = render(g)
     if args.distances:
@@ -315,28 +294,30 @@ def _cmd_loop(args) -> dict:
     return payload
 
 
-def _cmd_exp(args) -> dict:
-    from .experiments import lukasiewicz_profile, scaling_run
-
+def _scaling_config(args, **more) -> ScalingRunConfig:
     try:
         sizes = tuple(int(s) for s in args.sizes.split(","))
     except ValueError as e:
         raise UsageError("invalid --sizes: %s" % e) from e
-    cfg = ScalingRunConfig(
-        sizes=sizes,
-        samples_per_size=args.samples,
-        seed=args.seed,
-        alpha=args.alpha,
-        map_diameter_max_n=args.map_diameter_max_n,
-    )
-    res = scaling_run(cfg) if args.action == "scaling" else lukasiewicz_profile(cfg)
+    return ScalingRunConfig(sizes=sizes, samples_per_size=args.samples, seed=args.seed,
+                            alpha=args.alpha, **more)
+
+
+def _cmd_scaling(args) -> dict:
+    from .experiments import scaling_run
+
+    res = scaling_run(_scaling_config(args, map_diameter_max_n=args.map_diameter_max_n))
     res["config"]["out"] = args.out
-    if args.action == "scaling":
-        payload = {"config": res["config"], "summary": res["summary"],
-                   "csv": rows_to_csv(res["rows"])}
-        payload["text"] = json.dumps(_jsonable(payload["summary"]), indent=2, sort_keys=True)
-        return payload
-    # lukasiewicz, the one action left
+    payload = {"config": res["config"], "summary": res["summary"], "csv": rows_to_csv(res["rows"])}
+    payload["text"] = json.dumps(_jsonable(payload["summary"]), indent=2, sort_keys=True)
+    return payload
+
+
+def _cmd_lukasiewicz(args) -> dict:
+    from .experiments import lukasiewicz_profile
+
+    res = lukasiewicz_profile(_scaling_config(args))
+    res["config"]["out"] = args.out
     res["text"] = json.dumps(_jsonable(res["ks_consecutive"]), indent=2, sort_keys=True)
     return res
 
@@ -352,7 +333,7 @@ def _cmd_render(args) -> dict:
         dot = render(loop(tree))
     else:  # halin
         dot = render(build_halin(tree))
-    return {"dot": dot, "text": dot, "config": _resolved_config(args, ["kind", "tree"])}
+    return {"dot": dot, "text": dot}
 
 
 # -- parser --------------------------------------------------------------------
@@ -367,84 +348,104 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version="hll %s" % __version__)
     sub = p.add_subparsers(dest="command", required=True)
 
+    def leaf(subs, name: str, func, help: str):
+        sp = subs.add_parser(name, help=help)
+        sp.set_defaults(func=func)
+        return sp
+
     def common(sp, fmts=("text", "json")):
         sp.add_argument("--format", choices=fmts, default="text")
         sp.add_argument("--out", default=None, help="write output atomically to a file")
 
-    sp = sub.add_parser("enumerate", help="enumerate Halin maps with n bounded faces")
+    def actions(name: str, help: str):
+        return sub.add_parser(name, help=help).add_subparsers(dest="action", required=True)
+
+    sp = leaf(sub, "enumerate", _cmd_enumerate, "enumerate Halin maps with n bounded faces")
     sp.add_argument("-n", type=int, required=True)
     sp.add_argument("--count-only", action="store_true")
     sp.add_argument("--force", action="store_true", help="override the size guard")
     common(sp)
-    sp.set_defaults(func=_cmd_enumerate)
 
-    sp = sub.add_parser("build", help="build the map of a one-leaf-child tree")
+    sp = leaf(sub, "build", _cmd_build, "build the map of a one-leaf-child tree")
     sp.add_argument("--tree", required=True, help='child counts, e.g. "2 0 1 0"')
     common(sp, ("text", "json", "dot"))
-    sp.set_defaults(func=_cmd_build)
 
-    sp = sub.add_parser("sample", help="sample size-conditioned trees or maps")
+    sp = leaf(sub, "sample", _cmd_sample, "sample size-conditioned trees or maps")
     sp.add_argument("-n", type=int, required=True)
-    sp.add_argument("--samples", type=int, default=1)
-    sp.add_argument("--seed", type=_seed, default=_default_seed())
+    sp.add_argument("--samples", type=_count, default=1)
+    sp.add_argument("--seed", type=_count, default=_default_seed())
     sp.add_argument("--alpha", type=float, default=None,
                     help="stable tail exponent; omit for the uniform-weight law")
     sp.add_argument("--as-map", action="store_true",
                     help="also draw uniform marks and build the map")
     common(sp)
-    sp.set_defaults(func=_cmd_sample)
 
-    sp = sub.add_parser("mu", help="inspect an offspring distribution")
+    sp = leaf(sub, "mu", _cmd_mu, "inspect an offspring distribution")
     sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--kmax", type=int, default=10)
+    sp.add_argument("--kmax", type=_count, default=10)
     sp.add_argument("-n", type=int, default=0, help="also report b_n")
     common(sp)
-    sp.set_defaults(func=_cmd_mu)
 
-    sp = sub.add_parser("bij", help="bijection between maps and marked trees")
-    sp.add_argument("action", choices=["phi", "inv", "roundtrip", "pushforward"])
-    sp.add_argument("-n", type=int, default=4)
-    sp.add_argument("--tree", default=None)
-    sp.add_argument("--marked", default=None)
-    sp.add_argument("--exhaustive", action="store_true")
-    sp.add_argument("--force", action="store_true")
+    bij = actions("bij", "bijection between maps and marked trees")
+    sp = leaf(bij, "phi", _cmd_phi, "the marked tree of a tree's map")
+    sp.add_argument("--tree", required=True, help='child counts, e.g. "2 0 1 0"')
     common(sp)
-    sp.set_defaults(func=_cmd_bij)
+    sp = leaf(bij, "inv", _cmd_inv, "the tree of a marked tree's map")
+    sp.add_argument("--marked", required=True, help='child:mark pairs, e.g. "2:1 0:0 1:1 0:0"')
+    common(sp)
+    sp = leaf(bij, "roundtrip", _cmd_roundtrip, "phi then phi inverse on every map of size n")
+    sp.add_argument("-n", type=int, default=4)
+    sp.add_argument("--exhaustive", action="store_true", required=True)
+    sp.add_argument("--force", action="store_true", help="override the size guard")
+    common(sp)
+    sp = leaf(bij, "pushforward", _cmd_pushforward, "exact pushforward law at size n")
+    sp.add_argument("-n", type=int, default=4)
+    common(sp)
 
-    sp = sub.add_parser("gh", help="Gromov-Hausdorff computations")
-    sp.add_argument("action", choices=["exact", "bounds", "lemma"])
-    sp.add_argument("--a", help="CSV distance matrix")
-    sp.add_argument("--b", help="CSV distance matrix")
+    def metrics(sp):
+        sp.add_argument("--a", required=True, help="CSV distance matrix")
+        sp.add_argument("--b", required=True, help="CSV distance matrix")
+
+    gh = actions("gh", "Gromov-Hausdorff computations")
+    sp = leaf(gh, "exact", _cmd_gh_exact, "exact GH distance of two CSV distance matrices")
+    metrics(sp)
     sp.add_argument("--budget", type=int, default=10**7,
                     help="distortion evaluations before exit 4 (default 10000000: 20-30 s)")
-    sp.add_argument("--seed", type=_seed, default=_default_seed())
-    sp.add_argument("-n", type=int, default=1)
-    sp.add_argument("--exhaustive", action="store_true")
-    sp.add_argument("--force", action="store_true")
     common(sp)
-    sp.set_defaults(func=_cmd_gh)
+    sp = leaf(gh, "bounds", _cmd_gh_bounds, "GH lower bound of two CSV distance matrices")
+    metrics(sp)
+    sp.add_argument("--seed", type=_count, default=_default_seed())
+    common(sp)
+    sp = leaf(gh, "lemma", _cmd_lemma, "GH(Halin map, looptree) <= height + 3/2")
+    sp.add_argument("-n", type=int, default=1)
+    sp.add_argument("--exhaustive", action="store_true", help="every map of size n, not the first")
+    sp.add_argument("--force", action="store_true", help="override the size guard")
+    common(sp)
 
-    sp = sub.add_parser("loop", help="looptree of a plane tree")
+    sp = leaf(sub, "loop", _cmd_loop, "looptree of a plane tree")
     sp.add_argument("--tree", required=True)
     sp.add_argument("--distances", action="store_true", help="include the distance matrix")
     common(sp, ("text", "json", "dot", "csv"))
-    sp.set_defaults(func=_cmd_loop)
 
-    sp = sub.add_parser("exp", help="scaling experiments")
-    sp.add_argument("action", choices=["scaling", "lukasiewicz"])
-    sp.add_argument("--alpha", type=float, default=1.5)
-    sp.add_argument("--sizes", default="1024,4096,16384")
-    sp.add_argument("--samples", type=int, default=200)
-    sp.add_argument("--seed", type=_seed, default=_default_seed())
+    def grid(sp):
+        sp.add_argument("--alpha", type=float, default=1.5)
+        sp.add_argument("--sizes", default="1024,4096,16384")
+        sp.add_argument("--samples", type=int, default=200)
+        sp.add_argument("--seed", type=_count, default=_default_seed())
+
+    exp = actions("exp", "scaling experiments")
+    sp = leaf(exp, "scaling", _cmd_scaling, "looptree diameter and height across sizes")
+    grid(sp)
     sp.add_argument("--map-diameter-max-n", type=int, default=ScalingRunConfig.map_diameter_max_n)
     common(sp, ("text", "json", "csv"))
-    sp.set_defaults(func=_cmd_exp)
+    sp = leaf(exp, "lukasiewicz", _cmd_lukasiewicz, "excursion functionals across sizes")
+    grid(sp)
+    common(sp)
 
-    sp = sub.add_parser("render", help="DOT rendering")
+    sp = leaf(sub, "render", _cmd_render, "DOT rendering")
     sp.add_argument("kind", choices=["tree", "looptree", "halin"])
     sp.add_argument("--tree", required=True)
     common(sp, ("text", "json", "dot"))
-    sp.set_defaults(func=_cmd_render)
 
     return p
 

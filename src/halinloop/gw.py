@@ -122,6 +122,8 @@ def mu_from_weights(w: Callable[[int], float]) -> OffspringDistribution:
     lo, hi = 0.0, _B_TOP
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent floats: no later step changes lo or hi
+            break
         if mean_at(mid) < 1.0:
             lo = mid
         else:

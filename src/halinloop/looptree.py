@@ -51,19 +51,14 @@ class LoopGraph:
         return sparse.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(self.n, self.n)).tocsr()
 
     def distances_from(self, sources) -> np.ndarray:
-        """BFS distances from each source; rows follow ``sources``.  The
-        adjacency is symmetric, so the directed search sees every edge
-        from both ends."""
-        from scipy.sparse.csgraph import dijkstra
-
-        d = dijkstra(self._csr, unweighted=True, directed=True, indices=sources)
-        if np.any(np.isinf(d)):
-            raise UsageError("graph is disconnected")
-        return np.atleast_2d(d)
+        """Hop distances from each source, one ``_bfs`` row per source, in
+        the order of ``sources``; raises UsageError on a disconnected graph."""
+        return np.stack([self._bfs(s) for s in np.atleast_1d(sources).tolist()])
 
     def _bfs(self, source: int) -> np.ndarray:
         """Hop distances from source, by one C breadth-first search;
-        raises UsageError on a disconnected graph.
+        raises UsageError on a disconnected graph.  The adjacency is
+        symmetric, so the directed search sees every edge from both ends.
 
         The distances are read off the BFS tree by pointer jumping: after
         k rounds each vertex holds its distance to its 2^k-th ancestor,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import zeta
 
+from halinloop import gw
 from halinloop.errors import SizeGuardError, UsageError
 from halinloop.gw import (
     OffspringDistribution,
@@ -44,6 +45,42 @@ class TestWeightsFamily:
         ):
             mu = mu_from_weights(w)
             assert (mu.params["a"], mu.params["b"], mu.mean) == (a, b, mean)
+
+    @pytest.mark.parametrize("w", [lambda k: 1.0, lambda k: 1.0 / (k * k), lambda k: float(k)],
+                             ids=["one", "inverse-square", "linear"])
+    def test_bisection_stops_at_its_fixed_point(self, w):
+        # the same a, b and mean, bit for bit, as all 200 halvings, from
+        # about a quarter of the probes: each probe reads w(4) once
+        def sums(b):  # mu_from_weights's series, term for term
+            s = m = 0.0
+            bk = 1.0
+            for k in range(200_000):
+                term = bk * (k + 1) * w(k + 4)
+                s += term
+                m += k * term
+                bk *= b
+                if k > 100 and s > 0 and term < 1e-17 * s:
+                    break
+            return s, m
+
+        lo, hi = 0.0, gw._B_TOP
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            s, m = sums(mid)
+            lo, hi = (mid, hi) if m / s < 1.0 else (lo, mid)
+        b = 0.5 * (lo + hi)
+        s, m = sums(b)
+
+        probes = []
+
+        def counted(k):
+            if k == 4:
+                probes.append(k)
+            return w(k)
+
+        mu = mu_from_weights(counted)
+        assert (mu.params["a"], mu.params["b"], mu.mean) == (1.0 / s, b, m / s)
+        assert len(probes) < 60, len(probes)
 
     def test_subcritical_weights_rejected(self):
         # rapidly decaying support cannot reach mean one
