@@ -10,6 +10,7 @@ violation, 4 budget exceeded.  ``HLL_SEED`` provides the default seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -18,9 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import __version__
+from . import __version__, bijection, experiments, gh_metric, gw, halin, looptree
 from .errors import BudgetExceededError, InvariantError, UsageError
-from .experiments import ScalingRunConfig, atomic_write, mark_uniformly, render, rows_to_csv, sweep_trees
 from .plane_tree import format_marked, format_tree, parse_marked, parse_tree
 
 EXIT_OK = 0
@@ -34,12 +34,13 @@ def main(argv: list[str] | None = None) -> None:
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
+        if getattr(args, "seed", 0) is None:  # read per run: the parser is built once
+            args.seed = _env_seed()
         payload = args.func(args)
         # the resolved config is every parsed option, unless the handler resolved more
         plumbing = ("command", "func", "format", "out")
@@ -72,7 +73,7 @@ def _emit(args, payload: dict) -> None:
         text = payload.get("text", json.dumps(_jsonable(payload), sort_keys=True)) + "\n"
     if args.out:
         try:
-            atomic_write(args.out, text)
+            experiments.atomic_write(args.out, text)
         except OSError as e:
             raise UsageError(str(e)) from e
     else:
@@ -113,9 +114,12 @@ def _count(text: str) -> int:
     return int(text)
 
 
-def _default_seed() -> str:
-    # a string default goes through ``type``, so a bad HLL_SEED is a usage error
-    return os.environ.get("HLL_SEED", "0")
+def _env_seed() -> int:
+    """The default seed: HLL_SEED, read on every run, or 0."""
+    try:
+        return _count(os.environ.get("HLL_SEED", "0"))
+    except argparse.ArgumentTypeError as e:
+        raise UsageError("HLL_SEED: %s" % e) from e
 
 
 _CODE_ARGS = {"tree": (parse_tree, "tree code"), "marked": (parse_marked, "marked tree")}
@@ -132,101 +136,84 @@ def _parse_code_arg(args, flag: str = "tree"):
 
 
 def _mu(args):
-    from .gw import mu_from_weights, stable_mu
-
     if args.alpha is not None:
-        return stable_mu(args.alpha)
-    return mu_from_weights(lambda k: 1.0)
+        return gw.stable_mu(args.alpha)
+    return gw.mu_from_weights(lambda k: 1.0)
 
 
 # -- subcommands ---------------------------------------------------------------
 
 
 def _cmd_enumerate(args) -> dict:
-    from .halin import halin_count, hstar_codes
-
     if args.count_only:
-        count = halin_count(args.n, force=args.force)
+        count = halin.halin_count(args.n, force=args.force)
         return {"n": args.n, "count": count, "text": str(count)}
-    maps = [" ".join(map(str, c)) for c in hstar_codes(args.n, force=args.force)]  # format_tree's text
+    maps = [" ".join(map(str, c)) for c in halin.hstar_codes(args.n, force=args.force)]  # format_tree's text
     return {"n": args.n, "count": len(maps), "maps": maps,
             "text": "\n".join([str(len(maps))] + maps)}
 
 
 def _cmd_build(args) -> dict:
-    from .halin import build_halin
-
-    H = build_halin(_parse_code_arg(args))
+    H = halin.build_halin(_parse_code_arg(args))
     H.validate()
     payload = {"tree": format_tree(H.tree), "map": H.map.to_json()}
     if args.format == "dot":
-        payload["dot"] = render(H)
+        payload["dot"] = experiments.render(H)
     payload["text"] = payload["map"]
     return payload
 
 
 def _cmd_sample(args) -> dict:
-    from .gw import sample_conditioned, sample_conditioned_many
-
     mu = _mu(args)
     rng = np.random.default_rng(args.seed)
     if args.as_map:
         # the marks of a tree are drawn before the next tree, so these
-        # draws stay one at a time
-        trees = [format_marked(mark_uniformly(sample_conditioned(mu, args.n, rng), rng)[0])
-                 for _ in range(args.samples)]
+        # draws stay one at a time; each marked tree's map is validated
+        trees = []
+        for _ in range(args.samples):
+            marked = experiments.mark_uniformly(gw.sample_conditioned(mu, args.n, rng), rng)
+            bijection.phi_inverse(marked).validate()
+            trees.append(format_marked(marked))
     else:
-        trees = [format_tree(t) for t in sample_conditioned_many(mu, args.n, args.samples, rng)]
+        trees = [format_tree(t) for t in gw.sample_conditioned_many(mu, args.n, args.samples, rng)]
     return {"samples": trees, "text": "\n".join(trees)}
 
 
 def _cmd_mu(args) -> dict:
-    from .gw import b_n_of
-
     mu = _mu(args)
     table = [mu.pmf(k) for k in range(args.kmax + 1)]
     payload = {"name": mu.name, "mean": mu.mean, "alpha": mu.alpha,
                "tail_constant": mu.tail_constant, "pmf": table}
     if args.n:
-        payload["b_n"] = b_n_of(mu, args.n)
+        payload["b_n"] = gw.b_n_of(mu, args.n)
     payload["text"] = "\n".join("mu(%d) = %.12g" % (k, p) for k, p in enumerate(table))
     return payload
 
 
 def _cmd_phi(args) -> dict:
-    from .bijection import phi
-    from .halin import build_halin
-
-    marked = format_marked(phi(build_halin(_parse_code_arg(args))))
+    marked = format_marked(bijection.phi(halin.build_halin(_parse_code_arg(args))))
     return {"marked": marked, "text": marked}
 
 
 def _cmd_inv(args) -> dict:
-    from .bijection import phi_inverse
-
-    H = phi_inverse(_parse_code_arg(args, "marked"))
+    H = bijection.phi_inverse(_parse_code_arg(args, "marked"))
     H.validate()
     return {"tree": format_tree(H.tree), "map": H.map.to_json(), "text": format_tree(H.tree)}
 
 
 def _cmd_roundtrip(args) -> dict:
-    from .bijection import _cut_contour, phi
-    from .halin import build_halin
-
     def roundtrip(tree) -> int:
         # build_halin is a function of the code: the same tree, the same map
-        if _cut_contour(phi(build_halin(tree))).code != tree.code:
+        if bijection._cut_contour(bijection.phi(halin.build_halin(tree))).code != tree.code:
             raise InvariantError("round trip fails on the map of tree '%s'" % format_tree(tree))
         return 1
 
-    total = sweep_trees(roundtrip, args.n, force=args.force, add=lambda a, b: a + b)
+    total = experiments.sweep_trees(roundtrip, args.n, force=args.force, add=lambda a, b: a + b)
     return {"ok": total, "total": total, "text": "%d/%d OK" % (total, total)}
 
 
 def _cmd_pushforward(args) -> dict:
-    from .bijection import pushforward_distribution
-
-    rep = pushforward_distribution(args.n, lambda k: Fraction(1))
+    rep = bijection.pushforward_distribution(args.n, lambda k: Fraction(1))
     if not rep["exact_match"]:
         raise InvariantError("pushforward differs from the conditioned law by %s at n=%d"
                              % (rep["max_discrepancy"], rep["n"]))
@@ -235,43 +222,35 @@ def _cmd_pushforward(args) -> dict:
 
 
 def _cmd_gh_exact(args) -> dict:
-    from .gh_metric import gh_exact
-
-    g = gh_exact(_load_metric(args, "a"), _load_metric(args, "b"), budget=args.budget)
+    g = gh_metric.gh_exact(_load_metric(args, "a"), _load_metric(args, "b"), budget=args.budget)
     return {"gh": g, "text": "GH=%.6g" % g}
 
 
 def _cmd_gh_bounds(args) -> dict:
-    from .gh_metric import gh_lower_bound
-
-    lb = gh_lower_bound(_load_metric(args, "a"), _load_metric(args, "b"), seed=args.seed)
+    lb = gh_metric.gh_lower_bound(_load_metric(args, "a"), _load_metric(args, "b"), seed=args.seed)
     return {"lower": lb, "text": "GH>=%.6g" % lb}
 
 
 def _cmd_lemma(args) -> dict:
-    from .halin import build_halin
-    from .looptree import check_lemma_bound
-
     def lemma(tree):
-        r = check_lemma_bound(build_halin(tree))
+        r = looptree.check_lemma_bound(halin.build_halin(tree))
         rel, g = ("=", r["gh"]) if r["gh"] is not None else ("<=", r["upper"])
         if not r["ok"]:
             raise InvariantError("lemma bound fails on the map of tree '%s': GH%s%.6g, bound=%.6g"
                                  % (format_tree(tree), rel, g, r["bound"]))
         return r, "GH%s%.6g, bound=%.6g, OK" % (rel, g, r["bound"])
 
-    reports, lines = zip(*sweep_trees(lemma, args.n, force=args.force, exhaustive=args.exhaustive))
+    reports, lines = zip(*experiments.sweep_trees(lemma, args.n, force=args.force,
+                                                  exhaustive=args.exhaustive))
     return {"reports": reports, "text": "\n".join(lines)}
 
 
 def _load_metric(args, flag: str):
-    from .gh_metric import FiniteMetricSpace
-
     path = getattr(args, flag)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # numpy warns on a file with no data
-            return FiniteMetricSpace(np.loadtxt(path, delimiter=",", ndmin=2))
+            return gh_metric.FiniteMetricSpace(np.loadtxt(path, delimiter=",", ndmin=2))
     except UserWarning as e:
         raise UsageError("no data in --%s %s" % (flag, path)) from e
     except (OSError, ValueError, InvariantError) as e:
@@ -279,13 +258,11 @@ def _load_metric(args, flag: str):
 
 
 def _cmd_loop(args) -> dict:
-    from .looptree import loop, loop_diameter
-
     tree = _parse_code_arg(args)
-    g = loop(tree)
-    payload = {"vertices": g.n, "edges": sorted(g.edges), "diameter": loop_diameter(tree)}
+    g = looptree.loop(tree)
+    payload = {"vertices": g.n, "edges": sorted(g.edges), "diameter": looptree.loop_diameter(tree)}
     if args.format == "dot":
-        payload["dot"] = render(g)
+        payload["dot"] = experiments.render(g)
     if args.distances:
         d = g.all_distances()
         payload["csv"] = "\n".join(",".join(str(int(x)) for x in row) for row in d) + "\n"
@@ -294,51 +271,46 @@ def _cmd_loop(args) -> dict:
     return payload
 
 
-def _scaling_config(args, **more) -> ScalingRunConfig:
+def _scaling_config(args, **more) -> experiments.ScalingRunConfig:
     try:
         sizes = tuple(int(s) for s in args.sizes.split(","))
     except ValueError as e:
         raise UsageError("invalid --sizes: %s" % e) from e
-    return ScalingRunConfig(sizes=sizes, samples_per_size=args.samples, seed=args.seed,
-                            alpha=args.alpha, **more)
+    return experiments.ScalingRunConfig(sizes=sizes, samples_per_size=args.samples, seed=args.seed,
+                                        alpha=args.alpha, **more)
 
 
 def _cmd_scaling(args) -> dict:
-    from .experiments import scaling_run
-
-    res = scaling_run(_scaling_config(args, map_diameter_max_n=args.map_diameter_max_n))
+    res = experiments.scaling_run(_scaling_config(args, map_diameter_max_n=args.map_diameter_max_n))
     res["config"]["out"] = args.out
-    payload = {"config": res["config"], "summary": res["summary"], "csv": rows_to_csv(res["rows"])}
+    payload = {"config": res["config"], "summary": res["summary"],
+               "csv": experiments.rows_to_csv(res["rows"])}
     payload["text"] = json.dumps(_jsonable(payload["summary"]), indent=2, sort_keys=True)
     return payload
 
 
 def _cmd_lukasiewicz(args) -> dict:
-    from .experiments import lukasiewicz_profile
-
-    res = lukasiewicz_profile(_scaling_config(args))
+    res = experiments.lukasiewicz_profile(_scaling_config(args))
     res["config"]["out"] = args.out
     res["text"] = json.dumps(_jsonable(res["ks_consecutive"]), indent=2, sort_keys=True)
     return res
 
 
 def _cmd_render(args) -> dict:
-    from .halin import build_halin
-    from .looptree import loop
-
     tree = _parse_code_arg(args)
     if args.kind == "tree":
-        dot = render(tree)
+        dot = experiments.render(tree)
     elif args.kind == "looptree":
-        dot = render(loop(tree))
+        dot = experiments.render(looptree.loop(tree))
     else:  # halin
-        dot = render(build_halin(tree))
+        dot = experiments.render(halin.build_halin(tree))
     return {"dot": dot, "text": dot}
 
 
 # -- parser --------------------------------------------------------------------
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every run
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="hll",
@@ -373,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = leaf(sub, "sample", _cmd_sample, "sample size-conditioned trees or maps")
     sp.add_argument("-n", type=int, required=True)
     sp.add_argument("--samples", type=_count, default=1)
-    sp.add_argument("--seed", type=_count, default=_default_seed())
+    sp.add_argument("--seed", type=_count, default=None)
     sp.add_argument("--alpha", type=float, default=None,
                     help="stable tail exponent; omit for the uniform-weight law")
     sp.add_argument("--as-map", action="store_true",
@@ -409,12 +381,12 @@ def _build_parser() -> argparse.ArgumentParser:
     gh = actions("gh", "Gromov-Hausdorff computations")
     sp = leaf(gh, "exact", _cmd_gh_exact, "exact GH distance of two CSV distance matrices")
     metrics(sp)
-    sp.add_argument("--budget", type=int, default=10**7,
+    sp.add_argument("--budget", type=_count, default=10**7,
                     help="distortion evaluations before exit 4 (default 10000000: 20-30 s)")
     common(sp)
     sp = leaf(gh, "bounds", _cmd_gh_bounds, "GH lower bound of two CSV distance matrices")
     metrics(sp)
-    sp.add_argument("--seed", type=_count, default=_default_seed())
+    sp.add_argument("--seed", type=_count, default=None)
     common(sp)
     sp = leaf(gh, "lemma", _cmd_lemma, "GH(Halin map, looptree) <= height + 3/2")
     sp.add_argument("-n", type=int, default=1)
@@ -431,12 +403,13 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--alpha", type=float, default=1.5)
         sp.add_argument("--sizes", default="1024,4096,16384")
         sp.add_argument("--samples", type=int, default=200)
-        sp.add_argument("--seed", type=_count, default=_default_seed())
+        sp.add_argument("--seed", type=_count, default=None)
 
     exp = actions("exp", "scaling experiments")
     sp = leaf(exp, "scaling", _cmd_scaling, "looptree diameter and height across sizes")
     grid(sp)
-    sp.add_argument("--map-diameter-max-n", type=int, default=ScalingRunConfig.map_diameter_max_n)
+    sp.add_argument("--map-diameter-max-n", type=int,
+                    default=experiments.ScalingRunConfig.map_diameter_max_n)
     common(sp, ("text", "json", "csv"))
     sp = leaf(exp, "lukasiewicz", _cmd_lukasiewicz, "excursion functionals across sizes")
     grid(sp)

@@ -9,9 +9,11 @@ tree (``mark_uniformly``, shared with ``hll sample --as-map``) is
 paired with its looptree: its exact diameter (``LoopGraph.diameter``,
 iFUB with per-vertex eccentricity bounds) must lie within twice the
 height plus three of the looptree diameter, or the run raises
-InvariantError.  The summary reports the log-log regression slope of
-the median looptree diameter against n, which should sit near 1/alpha,
-and the decay of the normalized height, which should vanish.
+InvariantError.  A paired cell builds no map: it reads the map's graph
+off the tree that ``bijection._cut_contour`` gives (``map_graph``).
+The summary reports the log-log regression slope of the median
+looptree diameter against n, which should sit near 1/alpha, and the
+decay of the normalized height, which should vanish.
 
 Determinism and cores: every (size, sample) cell draws from its own
 seed derived from the run seed, so results are byte-identical
@@ -231,19 +233,18 @@ def _scaling_row(map_diameter_max_n: int, n: int, bn: float, sample: int, cell_s
     return row
 
 
-def mark_uniformly(tree: PlaneTree, rng: np.random.Generator) -> tuple[MarkedTree, HalinMap]:
-    """Uniform marks for tree, one draw from rng per vertex in order,
-    and the validated map the marked tree gives under phi_inverse."""
-    from .bijection import phi_inverse
-
-    marked = MarkedTree(tree, tuple(rng.integers(0, tree.counts + 1).tolist()))
-    H = phi_inverse(marked)
-    H.validate()
-    return marked, H
+def mark_uniformly(tree: PlaneTree, rng: np.random.Generator) -> MarkedTree:
+    """Uniform marks for tree, one draw from rng per vertex in order.
+    No map is built here: a paired cell reads its graph off the cut
+    tree, and ``hll sample --as-map`` builds and validates it."""
+    return MarkedTree(tree, tuple(rng.integers(0, tree.counts + 1).tolist()))
 
 
 def _paired_map_diameter(tree: PlaneTree, rng: np.random.Generator, row: dict) -> int:
-    diam = map_graph(mark_uniformly(tree, rng)[1].map).diameter()
+    from .bijection import _cut_contour
+
+    # the graph of phi_inverse's map, read off its tree: no rotation system is built
+    diam = map_graph(_cut_contour(mark_uniformly(tree, rng))).diameter()
     if abs(diam - row["diam_loop"]) > 2 * row["height"] + 3:
         raise InvariantError("map and looptree diameters differ beyond the bound")
     return diam
@@ -334,12 +335,13 @@ def render(obj) -> str:
     if isinstance(obj, LoopGraph):
         return _dot("looptree", obj.n, ["%d -- %d;" % e for e in sorted(obj.edges)])
     if isinstance(obj, HalinMap):
-        m, code = obj.map, obj.tree.code
-        # red: the leaf cycle, and the tree edge above each leaf
+        code = obj.tree.code
+        # red: the leaf cycle, and the tree edge above each leaf; the
+        # half-edge hangs off the root
         lines = ["%d -- %d%s;" % (u, v, ' [color="red"]' if code[u] == 0 or code[v] == 0 else "")
-                 for u, v in map_graph(m).edges]
-        lines += ['h [shape="point"];', '%d -- h [style="dashed"];' % m.vertex_of[m.half_edge_dart]]
-        return _dot("halin", m.n_vertices, lines)
+                 for u, v in map_graph(obj.tree).edges]
+        lines += ['h [shape="point"];', '0 -- h [style="dashed"];']
+        return _dot("halin", obj.tree.zeta, lines)
     raise UsageError("cannot render object of type %s" % type(obj).__name__)
 
 

@@ -116,15 +116,6 @@ class HalinMap:
     def bounded_faces(self) -> list[int]:
         return [f for f in range(self.map.n_faces) if f != self.outer_face]
 
-    def canonical(self) -> tuple:
-        """Canonical form as a rooted map of the plane.
-
-        The unbounded face is part of the structure: two Halin maps
-        whose rotation systems agree on the sphere are still different
-        objects when their unbounded faces differ.
-        """
-        return self.map.canonical(outer_face=self.outer_face)
-
     def weight(self, w: Callable[[int], Fraction | float]) -> Fraction | float:
         """Product of w(deg f) over bounded faces."""
         degs = self.map.face_degrees()
@@ -184,6 +175,15 @@ def n_tree_darts(zeta: int) -> int:
     return 2 * (zeta - 1)
 
 
+def require_hstar(tree: PlaneTree) -> None:
+    """Raise on a tree that has no Halin map: UsageError with no edge,
+    InvariantError when it breaks the one-leaf-child rule."""
+    if tree.zeta < 2:
+        raise UsageError("need at least one edge")
+    if not satisfies_hstar(tree):
+        raise InvariantError("tree violates the one-leaf-child rule")
+
+
 def build_halin(tree: PlaneTree) -> HalinMap:
     """Assemble the rotation system for a tree of one-leaf-child type.
 
@@ -192,12 +192,9 @@ def build_halin(tree: PlaneTree) -> HalinMap:
     the code writes ``nxt``; it chains the root's children into the cycle
     (c_1..c_k), and h is spliced in after c_1 at the end.
     """
+    require_hstar(tree)
     code = tree.code
     zeta = len(code)
-    if zeta < 2:
-        raise UsageError("need at least one edge")
-    if not satisfies_hstar(tree):
-        raise InvariantError("tree violates the one-leaf-child rule")
     base = n_tree_darts(zeta)
     h = base + zeta  # zeta / 2 leaves, two boundary darts each
     nxt = [0] * (h + 1)

@@ -24,8 +24,7 @@ import numpy as np
 
 from .errors import InvariantError, SizeGuardError, UsageError
 from .gh_metric import Correspondence, FiniteMetricSpace
-from .halin import HalinMap
-from .planar_map import PlanarMap
+from .halin import HalinMap, require_hstar
 from .plane_tree import MarkedTree, PlaneTree
 
 _MATRIX_GUARD = 4_096
@@ -254,17 +253,24 @@ def loop_diameter(tree: PlaneTree) -> int:
     return max(lb, best, int((_range_max(y, seg_start[t], hi) + x[t] + seg_len[t]).max()))
 
 
-def map_graph(m: PlanarMap) -> LoopGraph:
-    """Vertex graph of a map: one edge per dart pair, none for the
-    half-edge."""
-    edges = tuple((m.vertex_of[d], m.vertex_of[t]) for d, t in m.edges())
-    return LoopGraph(m.n_vertices, edges)
+def map_graph(tree: PlaneTree) -> LoopGraph:
+    """Vertex graph of the Halin map of a one-leaf-child tree, read off
+    the tree with no rotation system: the tree edges (parent(v), v) for
+    v = 1..zeta-1, then the leaf cycle (l_i, l_{i+1 mod lambda}) in code
+    order; the half-edge has none.  These are the edges of
+    ``build_halin(tree).map`` in dart order (``halin``'s dart layout);
+    tests alone check the two against each other.  Raises as
+    ``build_halin`` does on a tree with no Halin map."""
+    require_hstar(tree)
+    leaves = tree.leaves()
+    edges = (*zip(tree.parents()[1:], range(1, tree.zeta)), *zip(leaves, leaves[1:] + leaves[:1]))
+    return LoopGraph(tree.zeta, edges)
 
 
 def halin_metric(H: HalinMap) -> FiniteMetricSpace:
     """Graph metric of the map itself (tree plus boundary edges; the
     half-edge carries no length)."""
-    return map_graph(H.map).metric_space()
+    return map_graph(H.tree).metric_space()
 
 
 def _leaf_contraction(tree: PlaneTree) -> tuple[tuple[int, ...], list[int]]:
@@ -282,7 +288,7 @@ def hat_H(H: HalinMap) -> tuple[FiniteMetricSpace, tuple[int, ...]]:
     tree contracted into the parent, on the internal vertices; returns
     (space, internal vertex ids)."""
     internal, image = _leaf_contraction(H.tree)
-    edges = tuple((image[a], image[b]) for a, b in map_graph(H.map).edges if image[a] != image[b])
+    edges = tuple((image[a], image[b]) for a, b in map_graph(H.tree).edges if image[a] != image[b])
     return LoopGraph(len(internal), edges).metric_space(), internal
 
 

@@ -130,33 +130,7 @@ class PlanarMap:
     def edges(self) -> list[tuple[int, int]]:
         return [(d, t) for d, t in enumerate(self.twin) if d < t]
 
-    # -- canonical form / serialization ---------------------------------------
-
-    def canonical(self, outer_face: int | None = None) -> tuple:
-        """Relabel darts by BFS from the root dart; two maps are equal as
-        rooted maps iff their canonical tuples agree.
-
-        A rotation system only fixes the map on the sphere.  Pass
-        ``outer_face`` to compare as maps of the plane: the canonical
-        tuple then also records which face is unbounded, which can
-        separate maps that are isomorphic on the sphere.
-        """
-        # inv lists the darts in BFS order, so it is the inverse labelling
-        order = [-1] * self.n_darts
-        order[self.root_dart] = 0
-        inv = [self.root_dart]
-        for d in inv:
-            for e in (self.nxt[d], self.twin[d]):
-                if order[e] < 0:
-                    order[e] = len(inv)
-                    inv.append(e)
-        twin = tuple(order[self.twin[d]] for d in inv)
-        nxt = tuple(order[self.nxt[d]] for d in inv)
-        half = order[self.half_edge_dart] if self.half_edge_dart is not None else None
-        form = (twin, nxt, 0, half)
-        if outer_face is not None:
-            form += (min(order[d] for d in self.faces[outer_face]),)
-        return form
+    # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> str:
         return json.dumps(

@@ -99,6 +99,33 @@ def _no_fork():
 
 
 @pytest.fixture
+def map_work(monkeypatch):
+    """Counts, on one CPU, of the rotation systems built, their orbit
+    walks (vertex or face labels), the Halin maps validated and the map
+    diameters taken."""
+    from halinloop import planar_map
+    from halinloop.halin import HalinMap
+    from halinloop.looptree import LoopGraph
+    from halinloop.planar_map import PlanarMap
+
+    calls = {"PlanarMap": 0, "_orbits": 0, "validate": 0, "diameter": 0}
+
+    def counted(key, real):
+        def call(*a):
+            calls[key] += 1
+            return real(*a)
+
+        return call
+
+    monkeypatch.setattr(PlanarMap, "__post_init__", counted("PlanarMap", PlanarMap.__post_init__))
+    monkeypatch.setattr(planar_map, "_orbits", counted("_orbits", planar_map._orbits))
+    monkeypatch.setattr(HalinMap, "validate", counted("validate", HalinMap.validate))
+    monkeypatch.setattr(LoopGraph, "diameter", counted("diameter", LoopGraph.diameter))
+    _allow_cpus(monkeypatch, 1)
+    return calls
+
+
+@pytest.fixture
 def capout(capsys):
     def go(argv, expect=EXIT_OK):
         code = run(argv)
@@ -146,28 +173,11 @@ class TestBijection:
         out = capout(["bij", "roundtrip", "-n", "4", "--exhaustive"])
         assert out.strip() == "30/30 OK"
 
-    def test_roundtrip_builds_one_map_per_tree(self, capout, monkeypatch):
-        """On one CPU, the n = 4 round trip builds and validates one
-        rotation system per tree, and phi labels no face or vertex."""
-        from halinloop import planar_map
-        from halinloop.planar_map import PlanarMap
-
-        calls = {"PlanarMap": 0, "_orbits": 0}
-        real_init, real_orbits = PlanarMap.__post_init__, planar_map._orbits
-
-        def post_init(self):
-            calls["PlanarMap"] += 1
-            real_init(self)
-
-        def orbits(perm):
-            calls["_orbits"] += 1
-            return real_orbits(perm)
-
-        monkeypatch.setattr(PlanarMap, "__post_init__", post_init)
-        monkeypatch.setattr(planar_map, "_orbits", orbits)
-        _allow_cpus(monkeypatch, 1)
+    def test_roundtrip_builds_one_map_per_tree(self, capout, map_work):
+        """The n = 4 round trip builds one rotation system per tree (its
+        constructor checks it), and phi labels no face or vertex."""
         assert capout(["bij", "roundtrip", "-n", "4", "--exhaustive"]).strip() == "30/30 OK"
-        assert calls == {"PlanarMap": 30, "_orbits": 0}
+        assert map_work == {"PlanarMap": 30, "_orbits": 0, "validate": 0, "diameter": 0}
 
     def test_phi_inv_are_inverse(self, capout):
         marked = capout(["bij", "phi", "--tree", "2 0 1 0"]).strip()
@@ -264,6 +274,14 @@ class TestGH:
             expect=EXIT_BUDGET,
         )
 
+    def test_negative_budget_is_usage_error(self, capout, tmp_path):
+        d = np.abs(np.subtract.outer(np.arange(12.0), np.arange(12.0)))
+        a = tmp_path / "a.csv"
+        np.savetxt(a, d, delimiter=",")
+        argv = ["gh", "exact", "--a", str(a), "--b", str(a), "--budget"]
+        capout(argv + ["-1"], expect=EXIT_USAGE)
+        capout(argv + ["0"], expect=EXIT_BUDGET)
+
     def test_budget_default_is_the_one_in_help(self):
         import re
 
@@ -357,6 +375,10 @@ class TestSampleAndMu:
     def test_sample_as_map(self, capout):
         out = capout(["sample", "-n", "6", "--samples", "1", "--seed", "0", "--as-map"])
         assert ":" in out  # marked-tree format
+
+    def test_sample_as_map_validates_one_map_per_sample(self, capout, map_work):
+        capout(["sample", "-n", "6", "--samples", "4", "--seed", "0", "--as-map"])
+        assert map_work["PlanarMap"] == map_work["validate"] == 4
 
     @pytest.mark.parametrize("argv, digest", [
         (["-n", "4", "--samples", "2000", "--seed", "11"],
@@ -473,6 +495,12 @@ class TestExp:
         summary = payload["summary"]
         assert json.loads(payload["text"], parse_constant=reject) == summary  # the text form
         assert summary["slope_ci95"] == [summary["slope"]] * 2
+
+    def test_paired_cells_build_no_map(self, capout, map_work):
+        """A map-paired cell reads the map's graph off its tree: no
+        rotation system, no orbit walk, no validation."""
+        capout(["exp", "scaling", "--sizes", "64,256", "--samples", "3", "--seed", "5"])
+        assert map_work == {"PlanarMap": 0, "_orbits": 0, "validate": 0, "diameter": 6}
 
     def test_wrong_map_diameter_exits_invariant(self, capsys, monkeypatch):
         # the paired-map check is the lemma's only guard above n = 4

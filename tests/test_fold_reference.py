@@ -1,7 +1,8 @@
-"""The one-path versions of gh_exact, enumerate_trees, PlanarMap.canonical,
-render(HalinMap), hat_H, mark_uniformly, phi's dual walk and the lemma's
-vertex matching against the code they replaced, kept here as
-``_reference`` functions, plus a brute-force GH on tiny spaces."""
+"""The one-path versions of gh_exact, enumerate_trees, render(HalinMap),
+hat_H, mark_uniformly, phi's dual walk, the lemma's vertex matching and
+map_graph against the code they replaced, kept here as ``_reference``
+functions, plus a brute-force GH on tiny spaces.  ``canonical_reference``
+is the canonical form the tests compare rooted maps by."""
 
 from bisect import bisect_right
 from collections import Counter
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from halinloop.bijection import _marked_vertex_of, phi, phi_inverse, phi_with_faces
-from halinloop.errors import BudgetExceededError, InvariantError
+from halinloop.errors import BudgetExceededError, InvariantError, UsageError
 from halinloop.experiments import mark_uniformly, render
 from halinloop.gh_metric import FiniteMetricSpace, gh_exact
 from halinloop.gw import mu_from_weights, sample_conditioned, stable_mu
@@ -23,6 +24,7 @@ from halinloop.looptree import (
     halin_metric,
     hat_H,
     loop,
+    map_graph,
 )
 from halinloop.plane_tree import MarkedTree, PlaneTree, enumerate_trees
 
@@ -118,7 +120,13 @@ def enumerate_trees_reference(n):
 
 
 def canonical_reference(m, outer_face=None):
-    """BFS from the root dart with a popped queue and a label dict."""
+    """Darts relabelled by BFS from the root dart (a popped queue and a
+    label dict): two maps are equal as rooted maps iff their forms agree.
+
+    A rotation system only fixes the map on the sphere.  With
+    ``outer_face`` the form also records which face is unbounded, which
+    can separate maps that are isomorphic on the sphere: the form of a
+    map of the plane."""
     order = {m.root_dart: 0}
     queue = [m.root_dart]
     while queue:
@@ -156,6 +164,12 @@ def render_halin_reference(H):
             lines.append('  h [shape="point"];')
             lines.append('  %d -- h [style="dashed"];' % m.vertex_of[d])
     return "\n".join(lines + ["}"])
+
+
+def map_graph_reference(m):
+    """Vertex graph of a map by its darts: one edge per dart pair, from
+    the vertex orbits, none for the half-edge."""
+    return LoopGraph(m.n_vertices, tuple((m.vertex_of[d], m.vertex_of[t]) for d, t in m.edges()))
 
 
 def hat_H_reference(H):
@@ -405,13 +419,35 @@ def test_enumerate_trees_matches_reference():
         assert [t.code for t in enumerate_trees(n)] == list(enumerate_trees_reference(n))
 
 
-def test_canonical_and_render_match_reference():
+def test_render_matches_reference():
     for H in _maps_to_compare():
-        m = H.map
-        assert m.canonical() == canonical_reference(m)
-        assert H.canonical() == canonical_reference(m, H.outer_face)
         assert render(H) == render_halin_reference(H)
 
+
+def test_map_graph_matches_reference():
+    """The graph read off the tree is the dart walk's, edge for edge in
+    the same order, on every map with n <= 7 and on sampled stable-1.5
+    and uniform maps with n from 1,000 to 16,384."""
+    maps = [H for n in range(1, 8) for H in enumerate_halin(n)]
+    rng = np.random.default_rng(26)
+    for n in (1000, 4096, 16384):
+        for mu in (stable_mu(1.5), mu_from_weights(lambda k: 1.0)):
+            shape = sample_conditioned(mu, n, rng)
+            maps.append(phi_inverse(MarkedTree(shape, tuple(rng.integers(0, shape.counts + 1).tolist()))))
+    assert len(maps) == 4787 + 6
+    for H in maps:
+        assert map_graph(H.tree) == map_graph_reference(H.map)
+
+
+@pytest.mark.parametrize("code", [(2, 0, 0), (1, 1, 0), (2, 0, 2, 0, 0), (0,)])
+def test_map_graph_refuses_what_build_halin_refuses(code):
+    """A tree with no Halin map raises as build_halin does: InvariantError
+    off the one-leaf-child rule, UsageError with no edge."""
+    tree = PlaneTree(code)
+    with pytest.raises((InvariantError, UsageError)) as want:
+        build_halin(tree)
+    with pytest.raises(want.type, match=str(want.value)):
+        map_graph(tree)
 
 
 def test_hat_H_matches_reference():
@@ -430,7 +466,7 @@ def test_mark_uniformly_matches_reference():
     for i, n in enumerate((1, 2, 7, 50, 10_000)):
         tree = sample_conditioned(mus[i % 3], n, i)
         rng, ref = np.random.default_rng(i), np.random.default_rng(i)
-        assert mark_uniformly(tree, rng)[0].marks == mark_uniformly_marks_reference(tree, ref)
+        assert mark_uniformly(tree, rng).marks == mark_uniformly_marks_reference(tree, ref)
         assert rng.bit_generator.state == ref.bit_generator.state
 
 

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from test_fold_reference import canonical_reference
 
 from halinloop.errors import SizeGuardError, UsageError
 from halinloop.halin import (
@@ -92,7 +93,7 @@ class TestEnumeration:
             assert sum(1 for _ in enumerate_halin(n)) == c
 
     def test_maps_are_distinct(self):
-        forms = [H.canonical() for H in enumerate_halin(5)]
+        forms = [canonical_reference(H.map, H.outer_face) for H in enumerate_halin(5)]
         assert len(set(forms)) == COUNTS[5]
 
     def test_size_guard(self):

