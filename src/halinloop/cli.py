@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, bijection, experiments, gh_metric, gw, halin, looptree
 from .errors import BudgetExceededError, InvariantError, UsageError
-from .plane_tree import format_marked, format_tree, parse_marked, parse_tree
+from .plane_tree import check_rows, format_code, format_marked, format_tree, parse_marked, parse_tree
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -148,7 +148,7 @@ def _cmd_enumerate(args) -> dict:
     if args.count_only:
         count = halin.halin_count(args.n, force=args.force)
         return {"n": args.n, "count": count, "text": str(count)}
-    maps = [" ".join(map(str, c)) for c in halin.hstar_codes(args.n, force=args.force)]  # format_tree's text
+    maps = list(map(format_code, halin.hstar_codes(args.n, force=args.force)))
     return {"n": args.n, "count": len(maps), "maps": maps,
             "text": "\n".join([str(len(maps))] + maps)}
 
@@ -175,7 +175,8 @@ def _cmd_sample(args) -> dict:
             bijection.phi_inverse(marked).validate()
             trees.append(format_marked(marked))
     else:
-        trees = [format_tree(t) for t in gw.sample_conditioned_many(mu, args.n, args.samples, rng)]
+        chunks = gw.sample_codes(mu, args.n, args.samples, rng)
+        trees = [format_code(c) for rows in chunks for c in check_rows(rows).tolist()]
     return {"samples": trees, "text": "\n".join(trees)}
 
 

@@ -22,8 +22,9 @@ at once, end to end.  Both are tested draw for draw against a
 depth-first split, one block at a time.  Tree i of a chunk reads its
 own n-1 uniforms, so sample_conditioned_many gives the trees repeated
 sample_conditioned calls would, from the same seed.
-Each chunk's rotated codes are checked as one array and become trees
-through ``PlaneTree.from_rows``; no sampled tree passes the tuple check.
+Each chunk's rotated codes are checked as one array by
+``plane_tree.check_rows``: ``PlaneTree.from_rows`` makes them trees, and
+``hll sample`` formats them straight to text, building no tree.
 
 The split law is only as good as the tables.  Against direct
 convolution (n = 1024 and 4096, alpha = 1.5 and uniform weights) their
@@ -376,26 +377,31 @@ def cycle_rotation(ks: np.ndarray) -> np.ndarray:
     return np.take_along_axis(ks, (np.arange(ks.shape[-1]) + cut[..., None]) % ks.shape[-1], axis=-1)
 
 
+def sample_codes(mu: OffspringDistribution, n: int, count: int, seed: int | np.random.Generator | None):
+    """The codes of the trees sample_conditioned_many draws, in chunks of
+    about 2^16 items, each an int64 array of rotated rows that sum to n - 1;
+    their prefix check is ``check_rows``'s."""
+    if n < 1:
+        raise UsageError("need n >= 1")
+    if count < 0:
+        raise UsageError("need count >= 0")
+    law = _size_law(mu, n) if n > 1 else None  # n = 1: the one tree, from no uniforms
+    if n > 1 and not law.possible:
+        raise UsageError("size %d is outside the support of the total progeny" % n)
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    chunk = max(1, _CHUNK_ITEMS // n)
+    for done in range(0, count, chunk):
+        m = min(chunk, count - done)
+        yield cycle_rotation(law.sample_counts(m, rng)) if n > 1 else np.zeros((m, 1), np.int64)
+
+
 def sample_conditioned_many(
     mu: OffspringDistribution, n: int, count: int, seed: int | np.random.Generator | None = None
 ) -> list[PlaneTree]:
     """count trees with the branching-process law conditioned on n
     vertices: the trees count calls of sample_conditioned would draw
-    from one generator, and that generator is left in the same state.
-    The split sampler draws them in chunks of about 2^16 items."""
-    if n < 1:
-        raise UsageError("need n >= 1")
-    if count < 0:
-        raise UsageError("need count >= 0")
-    if n == 1:
-        return [PlaneTree((0,))] * count
-    law = _size_law(mu, n)
-    if not law.possible:
-        raise UsageError("size %d is outside the support of the total progeny" % n)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    chunk = max(1, _CHUNK_ITEMS // n)
-    batches = (law.sample_counts(min(chunk, count - done), rng) for done in range(0, count, chunk))
-    return [tree for rows in batches for tree in PlaneTree.from_rows(cycle_rotation(rows))]
+    from one generator, and that generator is left in the same state."""
+    return [tree for rows in sample_codes(mu, n, count, seed) for tree in PlaneTree.from_rows(rows)]
 
 
 def sample_conditioned(

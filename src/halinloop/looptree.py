@@ -50,32 +50,33 @@ class LoopGraph:
         return sparse.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(self.n, self.n)).tocsr()
 
     def distances_from(self, sources) -> np.ndarray:
-        """Hop distances from each source, one ``_bfs`` row per source, in
-        the order of ``sources``; raises UsageError on a disconnected graph."""
-        return np.stack([self._bfs(s) for s in np.atleast_1d(sources).tolist()])
+        """Hop distances from each source, in the order of ``sources``; raises
+        UsageError on a disconnected graph.  A block's BFS trees are laid end
+        to end, row r's vertex v at r * n + v, and jumped together."""
+        n, src = self.n, np.atleast_1d(sources).tolist()
+        step = max(1, (1 << 14) // n)  # a block of 2^14 pointers stays in cache
+        if len(src) > step:
+            return np.concatenate([self.distances_from(src[i : i + step]) for i in range(0, len(src), step)])
+        preds, deep = zip(*map(self._tree, src))
+        at = np.arange(0, len(src) * n, n)
+        return _jump(np.concatenate(preds) + np.repeat(at, n), at + deep, (at + src).tolist()).reshape(-1, n)
 
     def _bfs(self, source: int) -> np.ndarray:
-        """Hop distances from source, by one C breadth-first search;
-        raises UsageError on a disconnected graph.  The adjacency is
-        symmetric, so the directed search sees every edge from both ends.
+        """Hop distances from source: the one-tree case of ``distances_from``."""
+        pred, deep = self._tree(source)
+        return _jump(pred.astype(np.intp), deep, source)
 
-        The distances are read off the BFS tree by pointer jumping: after
-        k rounds each vertex holds its distance to its 2^k-th ancestor,
-        or to the source, which every vertex has reached once the last
-        vertex of the BFS order, a deepest one, has."""
+    def _tree(self, source: int) -> tuple[np.ndarray, int]:
+        """Predecessors (the source its own) and a deepest vertex of a BFS
+        tree from source, by one C breadth-first search of the symmetric
+        adjacency; raises UsageError on a disconnected graph."""
         from scipy.sparse.csgraph import breadth_first_order
 
         order, pred = breadth_first_order(self._csr, source, directed=True, return_predecessors=True)
         if order.size < self.n:
             raise UsageError("graph is disconnected")
         pred[source] = source
-        up = pred.astype(np.intp)
-        d = np.ones(self.n, np.intp)
-        d[source] = 0
-        while up[order[-1]] != source:
-            d += d[up]
-            up = up[up]
-        return d
+        return pred, int(order[-1])
 
     def all_distances(self) -> np.ndarray:
         if self.n > _MATRIX_GUARD:
@@ -130,6 +131,20 @@ class LoopGraph:
                 if hi[u] > lb:  # hi may have fallen since the filter
                     sweep(u)
         return lb
+
+
+def _jump(up: np.ndarray, deep, root) -> np.ndarray:
+    """Hop distances to the roots of BFS trees given by predecessors up (a
+    root its own), by pointer jumping: after k rounds each vertex holds its
+    distance to its 2^k-th ancestor, or to its root, which every vertex has
+    reached once the deepest ones, deep, have.  deep and root are ints for
+    one tree, an array and a list for trees laid end to end."""
+    d = np.ones(up.size, np.intp)
+    d[root] = 0
+    while up[deep].tolist() != root:
+        d += d[up]
+        up = up[up]
+    return d
 
 
 def _cycle_edges(edges: list, hub: int, ring) -> None:

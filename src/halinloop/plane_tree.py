@@ -6,7 +6,8 @@ A tree with vertices v(0) < v(1) < ... < v(n-1) in lexicographic
 tree's encoding walk, so validity is a prefix condition on partial sums
 of (k - 1).  Both ways in check it: ``PlaneTree(code)`` (parsed text,
 enumeration, the bijection) by a Python pass over the tuple, and
-``PlaneTree.from_rows`` (sampled batches) by one cumsum along the rows.
+``check_rows`` (sampled batches, which ``PlaneTree.from_rows`` makes trees
+and ``hll sample`` formats as text, building none) by one cumsum per batch.
 Ulam-Harris labels are derived views and never stored; the int32 code
 (``counts``) and the walk, subtree ends, depths and parents read off it
 (``structure``) are derived once per tree and cached.
@@ -42,6 +43,18 @@ def _check_code(code: tuple[int, ...]) -> None:
         raise InvariantError("code does not sum to n-1")
 
 
+def check_rows(rows: np.ndarray) -> np.ndarray:
+    """A 2-D integer batch of codes as int64 rows, checked by one cumsum along the rows."""
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape[1] == 0 or rows.dtype.kind not in "iu":
+        raise InvariantError("need a 2-D integer batch of non-empty codes")
+    rows = rows.astype(np.int64, copy=False)
+    walk = np.cumsum(rows - 1, axis=1)
+    if np.any(rows < 0) or np.any(walk[:, :-1] < 0) or np.any(walk[:, -1] != -1):
+        raise InvariantError("a row is not the code of a tree")
+    return rows
+
+
 TreeStructure = namedtuple("TreeStructure", "walk tau depth parent")
 
 
@@ -58,15 +71,8 @@ class PlaneTree:
 
     @classmethod
     def from_rows(cls, rows: np.ndarray) -> list[PlaneTree]:
-        """One tree per row of a 2-D integer array of codes; the batch is
-        checked by one cumsum along its rows, not row by row in Python."""
-        rows = np.asarray(rows)
-        if rows.ndim != 2 or rows.shape[1] == 0 or rows.dtype.kind not in "iu":
-            raise InvariantError("need a 2-D integer batch of non-empty codes")
-        rows = rows.astype(np.int64, copy=False)
-        walk = np.cumsum(rows - 1, axis=1)
-        if np.any(rows < 0) or np.any(walk[:, :-1] < 0) or np.any(walk[:, -1] != -1):
-            raise InvariantError("a row is not the code of a tree")
+        """One tree per row of a 2-D integer array of codes, checked by ``check_rows``."""
+        rows = check_rows(rows)
         trees = [object.__new__(cls) for _ in range(len(rows))]
         for tree, code in zip(trees, rows.tolist()):
             object.__setattr__(tree, "code", tuple(code))
@@ -233,8 +239,13 @@ def marked_count_formula(n: int) -> int:
     return math.comb(3 * n - 2, n - 1) // n
 
 
+def format_code(code) -> str:
+    # one %-format per code: about twice as fast as joining str() of each count
+    return ("%d " * len(code))[:-1] % tuple(code)
+
+
 def format_tree(tree: PlaneTree) -> str:
-    return " ".join(str(k) for k in tree.code)
+    return format_code(tree.code)
 
 
 def parse_tree(text: str) -> PlaneTree:

@@ -17,10 +17,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import halinloop
-from halinloop import halin
+from halinloop import gw, halin
 from halinloop.cli import EXIT_BUDGET, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, _build_parser, run
 from halinloop.errors import BudgetExceededError, InvariantError, UsageError
 from halinloop.experiments import ScalingRunConfig, rows_to_csv, scaling_run
+from halinloop.plane_tree import PlaneTree, format_tree
 
 
 _PINNED_STDOUT = [
@@ -395,6 +396,39 @@ class TestSampleAndMu:
         # gives other trees
         samples = json.loads(capout(["sample"] + argv + ["--format", "json"]))["samples"]
         assert hashlib.sha256(json.dumps(samples).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("alpha", [[], ["--alpha", "1.5"]])
+    @pytest.mark.parametrize("n, count", [(1, 5), (6, 0), (4, 16_385), (13_107, 6)])
+    def test_sample_prints_the_trees_text(self, capout, n, count, alpha):
+        # chunks hold 2^16 // n rows, so 16,385 trees of 4 vertices and 6 of
+        # 13,107 end in a one-row chunk
+        mu = gw.stable_mu(1.5) if alpha else gw.mu_from_weights(lambda k: 1.0)
+        want = [format_tree(t) for t in gw.sample_conditioned_many(mu, n, count, 5)]
+        argv = ["sample", "-n", str(n), "--samples", str(count), "--seed", "5"] + alpha
+        assert capout(argv) == "\n".join(want) + "\n"
+        payload = json.loads(capout(argv + ["--format", "json"]))
+        assert payload["samples"] == want and payload["text"] == "\n".join(want)
+
+    def test_sample_builds_no_tree(self, capout, monkeypatch):
+        # the codes are checked and formatted as rows; only --as-map makes trees
+        calls = {"from_rows": 0, "PlaneTree": 0}
+        from_rows, post_init = PlaneTree.from_rows, PlaneTree.__post_init__
+
+        def counted_from_rows(rows):
+            calls["from_rows"] += 1
+            return from_rows(rows)
+
+        def counted_post_init(self):
+            calls["PlaneTree"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(PlaneTree, "from_rows", counted_from_rows)
+        monkeypatch.setattr(PlaneTree, "__post_init__", counted_post_init)
+        for n in ("1", "4", "300"):
+            capout(["sample", "-n", n, "--samples", "20", "--seed", "1"])
+        assert calls == {"from_rows": 0, "PlaneTree": 0}
+        capout(["sample", "-n", "6", "--samples", "2", "--seed", "1", "--as-map"])
+        assert calls["from_rows"] == 2  # one draw per marked tree
 
     @pytest.mark.parametrize("argv, digest", _PINNED_STDOUT)
     def test_stdout_is_pinned(self, capout, monkeypatch, argv, digest):

@@ -125,7 +125,20 @@ class TestDistances:
         with pytest.raises(UsageError):
             g.all_distances()
         with pytest.raises(UsageError):
+            g.distances_from([0, 1])  # the sources reach only two vertices
+        with pytest.raises(UsageError):
+            g._bfs(2)
+        with pytest.raises(UsageError):
             g.diameter()
+
+    @pytest.mark.parametrize("n", [8, 50, 300])
+    def test_rows_jumped_together_match_single_sweeps(self, n):
+        # blocks of 2^14 pointers: the 600 sources of a map at n = 300 span 23
+        rng = np.random.default_rng(n)
+        for g in _sampled_graphs(n, 2, [10, n]):
+            sources = rng.permutation(np.r_[np.arange(g.n), 0, g.n - 1])
+            want = np.stack([g._bfs(s) for s in sources.tolist()])
+            assert np.array_equal(g.distances_from(sources), want)
 
     def test_matrix_size_guard(self):
         g = LoopGraph(5000, tuple((i, i + 1) for i in range(4999)))
