@@ -32,6 +32,8 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable
 
+import numpy as np
+
 from .errors import InvariantError
 from .gw import _enumerated_law
 from .experiments import sweep_trees
@@ -128,12 +130,12 @@ def _marked_vertex_of(H: HalinMap, faces: tuple[int, ...]) -> list[int]:
     ``phi_with_faces(H)``'s faces: leaf l_i and its parent go to the
     vertex dual to the face of g_i, the bounded side of boundary edge i."""
     at = {f: v for v, f in enumerate(faces)}
-    parents, face_of = H.tree.parents(), H.map.face_of
-    out = [0] * H.tree.zeta
+    face_of = H.map.face_of
     g_darts = range(n_tree_darts(H.tree.zeta) + 1, H.map.n_darts, 2)  # g_0, g_1, ...
-    for leaf, g in zip(H.tree.leaves(), g_darts):
-        out[leaf] = out[parents[leaf]] = at[face_of[g]]
-    return out
+    leaves = np.flatnonzero(H.tree.counts == 0)
+    out = np.zeros(H.tree.zeta, int)
+    out[leaves] = out[H.tree.structure.parent[leaves]] = [at[face_of[g]] for g in g_darts]
+    return out.tolist()
 
 
 def phi_inverse(marked: MarkedTree) -> HalinMap:

@@ -109,7 +109,7 @@ def _jsonable(x):
 
 def _count(text: str) -> int:
     """A non-negative integer: a seed as numpy takes it, or a count."""
-    if not text.isdigit():
+    if not (text.isascii() and text.isdigit()):  # str.isdigit alone takes "²", which int refuses
         raise argparse.ArgumentTypeError("expected a non-negative integer, got %r" % text)
     return int(text)
 
@@ -261,7 +261,7 @@ def _load_metric(args, flag: str):
 def _cmd_loop(args) -> dict:
     tree = _parse_code_arg(args)
     g = looptree.loop(tree)
-    payload = {"vertices": g.n, "edges": sorted(g.edges), "diameter": looptree.loop_diameter(tree)}
+    payload = {"vertices": g.n, "edges": sorted(g.edges.tolist()), "diameter": looptree.loop_diameter(tree)}
     if args.format == "dot":
         payload["dot"] = experiments.render(g)
     if args.distances:

@@ -330,16 +330,16 @@ def _excursion_functionals(n: int, bn: float, sample: int, cell_seed: int,
 def render(obj) -> str:
     """Deterministic DOT text for a tree, looptree or Halin map."""
     if isinstance(obj, PlaneTree):
-        parents = obj.parents()
+        parents = obj.structure.parent.tolist()
         return _dot("tree", obj.zeta, ["%d -- %d;" % (parents[v], v) for v in range(1, obj.zeta)])
     if isinstance(obj, LoopGraph):
-        return _dot("looptree", obj.n, ["%d -- %d;" % e for e in sorted(obj.edges)])
+        return _dot("looptree", obj.n, ["%d -- %d;" % tuple(e) for e in sorted(obj.edges.tolist())])
     if isinstance(obj, HalinMap):
         code = obj.tree.code
         # red: the leaf cycle, and the tree edge above each leaf; the
         # half-edge hangs off the root
         lines = ["%d -- %d%s;" % (u, v, ' [color="red"]' if code[u] == 0 or code[v] == 0 else "")
-                 for u, v in map_graph(obj.tree).edges]
+                 for u, v in map_graph(obj.tree).edges.tolist()]
         lines += ['h [shape="point"];', '0 -- h [style="dashed"];']
         return _dot("halin", obj.tree.zeta, lines)
     raise UsageError("cannot render object of type %s" % type(obj).__name__)

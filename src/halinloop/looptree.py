@@ -18,11 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
-from .errors import InvariantError, SizeGuardError, UsageError
+from .errors import SizeGuardError, UsageError
 from .gh_metric import Correspondence, FiniteMetricSpace
 from .halin import HalinMap, require_hstar
 from .plane_tree import MarkedTree, PlaneTree
@@ -30,13 +29,20 @@ from .plane_tree import MarkedTree, PlaneTree
 _MATRIX_GUARD = 4_096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LoopGraph:
     """An undirected unit-length multigraph on vertices 0..n-1, and its
-    graph metric."""
+    graph metric.  ``edges`` may be given as any sequence of pairs; it is
+    held as a read-only (m, 2) int32 array."""
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
+
+    def __post_init__(self):
+        # a view: freezing it leaves a caller's own array writeable
+        edges = np.asarray(self.edges, np.int32).reshape(-1, 2)
+        edges.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
 
     @cached_property
     def _csr(self):
@@ -44,8 +50,7 @@ class LoopGraph:
         # shorten a path
         from scipy import sparse
 
-        ends = np.fromiter(chain.from_iterable(self.edges), np.int64, 2 * len(self.edges)).reshape(-1, 2)
-        ends = ends[ends[:, 0] != ends[:, 1]]
+        ends = self.edges[self.edges[:, 0] != self.edges[:, 1]]
         rows, cols = ends.ravel(), ends[:, ::-1].ravel()
         return sparse.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(self.n, self.n)).tocsr()
 
@@ -147,26 +152,23 @@ def _jump(up: np.ndarray, deep, root) -> np.ndarray:
     return d
 
 
-def _cycle_edges(edges: list, hub: int, ring) -> None:
-    """Append the cycle hub, ring[0], ..., ring[-1], hub: the two hub
-    edges first, then consecutive ring members (a doubled edge when the
-    ring has one member)."""
-    edges.append((hub, ring[0]))
-    edges.append((hub, ring[-1]))
-    edges.extend(zip(ring, ring[1:]))
+def _cycles(tree: PlaneTree) -> tuple[np.ndarray, np.ndarray]:
+    """The looptree's edges, an (m, 2) int32 array, and the vertex owning
+    each edge's cycle, read off ``structure``: (p, p + 1) for each internal
+    p, then for each v > 0 (v, tau_v) when its subtree ends at its next
+    sibling, else (parent, v), v being the last child.  Each edge has the
+    hub first, then the earlier sibling."""
+    s, v = tree.structure, np.arange(1, tree.zeta, dtype=np.int32)
+    hub = np.flatnonzero(tree.counts).astype(np.int32)
+    par, tau = s.parent[1:], s.tau[1:]
+    last = tau == s.tau[par]
+    ends = (np.concatenate([hub, np.where(last, par, v)]), np.concatenate([hub + 1, np.where(last, v, tau)]))
+    return np.stack(ends, axis=1), np.concatenate([hub, par])
 
 
 def loop(tree: PlaneTree) -> LoopGraph:
     """Looptree: each sibling block forms a cycle through the parent."""
-    edges: list[tuple[int, int]] = []
-    for v, kids in enumerate(tree.children()):
-        if kids:
-            _cycle_edges(edges, v, kids)
-    g = LoopGraph(tree.zeta, tuple(edges))
-    expect = sum(k + 1 for k in tree.code if k >= 1)
-    if len(g.edges) != expect:
-        raise InvariantError("looptree edge count mismatch")
-    return g
+    return LoopGraph(tree.zeta, _cycles(tree)[0])
 
 
 def _range_max(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -277,9 +279,10 @@ def map_graph(tree: PlaneTree) -> LoopGraph:
     tests alone check the two against each other.  Raises as
     ``build_halin`` does on a tree with no Halin map."""
     require_hstar(tree)
-    leaves = tree.leaves()
-    edges = (*zip(tree.parents()[1:], range(1, tree.zeta)), *zip(leaves, leaves[1:] + leaves[:1]))
-    return LoopGraph(tree.zeta, edges)
+    leaves = np.flatnonzero(tree.counts == 0).astype(np.int32)
+    ends = (np.concatenate([tree.structure.parent[1:], leaves]),
+            np.concatenate([np.arange(1, tree.zeta, dtype=np.int32), np.roll(leaves, -1)]))
+    return LoopGraph(tree.zeta, np.stack(ends, axis=1))
 
 
 def halin_metric(H: HalinMap) -> FiniteMetricSpace:
@@ -288,14 +291,12 @@ def halin_metric(H: HalinMap) -> FiniteMetricSpace:
     return map_graph(H.tree).metric_space()
 
 
-def _leaf_contraction(tree: PlaneTree) -> tuple[tuple[int, ...], list[int]]:
+def _leaf_contraction(tree: PlaneTree) -> tuple[np.ndarray, np.ndarray]:
     """Internal vertex ids, and for every vertex the index of its image
     among them once each leaf edge is contracted into the parent."""
-    code = tree.code
-    parents = tree.parents()
-    internal = tuple(v for v in range(tree.zeta) if code[v] > 0)
-    index = {v: i for i, v in enumerate(internal)}
-    return internal, [index[v] if code[v] > 0 else index[parents[v]] for v in range(tree.zeta)]
+    inner = tree.counts > 0
+    index = np.cumsum(inner, dtype=np.int32) - 1
+    return np.flatnonzero(inner), np.where(inner, index, index[tree.structure.parent])
 
 
 def hat_H(H: HalinMap) -> tuple[FiniteMetricSpace, tuple[int, ...]]:
@@ -303,23 +304,27 @@ def hat_H(H: HalinMap) -> tuple[FiniteMetricSpace, tuple[int, ...]]:
     tree contracted into the parent, on the internal vertices; returns
     (space, internal vertex ids)."""
     internal, image = _leaf_contraction(H.tree)
-    edges = tuple((image[a], image[b]) for a, b in map_graph(H.tree).edges if image[a] != image[b])
-    return LoopGraph(len(internal), edges).metric_space(), internal
+    edges = image[map_graph(H.tree).edges]
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    return LoopGraph(internal.size, edges).metric_space(), tuple(internal.tolist())
 
 
 def hat_L(marked: MarkedTree) -> FiniteMetricSpace:
-    """Root-shifted looptree metric on the vertex set of the tree."""
-    ch = marked.shape.children()
-    u = ch[0]
-    edges: list[tuple[int, int]] = []
-    for v, kids in enumerate(ch):
-        if kids and v:
-            _cycle_edges(edges, 0 if u and v == u[-1] else v, kids)
-    if u:
+    """Root-shifted looptree metric on the vertex set of the tree: the
+    looptree's cycles, with the last root child's cycle hung at the root
+    and the root cycle re-threaded."""
+    tree = marked.shape
+    edges, owner = _cycles(tree)
+    u = np.flatnonzero(tree.structure.parent == 0)
+    if u.size:
+        keep = owner != 0
+        edges, owner = edges[keep], owner[keep]
+        edges[(owner == u[-1]) & (edges[:, 0] == u[-1]), 0] = 0
         # the last root subtree moves into slot s, the ones after it shift on
-        s = min(marked.marks[0] + 1, len(u))
-        _cycle_edges(edges, 0, u[: s - 1] + (u[-1],) + u[s - 1 : -1])
-    return LoopGraph(marked.shape.zeta, tuple(edges)).metric_space()
+        s = min(marked.marks[0] + 1, u.size)
+        ring = np.concatenate([u[: s - 1], u[-1:], u[s - 1 : -1]])
+        edges = np.concatenate([edges, [(0, ring[0]), (0, ring[-1])], np.stack([ring[:-1], ring[1:]], axis=1)])
+    return LoopGraph(tree.zeta, edges).metric_space()
 
 
 def check_lemma_bound(H: HalinMap, exact: bool | None = None) -> dict:

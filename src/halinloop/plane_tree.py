@@ -129,17 +129,6 @@ class PlaneTree:
         return TreeStructure(walk, tau, depth, parent)
 
     @cached_property
-    def _parents(self) -> tuple[int, ...]:
-        return tuple(self.structure.parent.tolist())
-
-    @cached_property
-    def _children(self) -> tuple[tuple[int, ...], ...]:
-        ch: list[list[int]] = [[] for _ in range(self.zeta)]
-        for v, p in enumerate(self._parents[1:], 1):
-            ch[p].append(v)
-        return tuple(map(tuple, ch))
-
-    @cached_property
     def one_leaf_child(self) -> bool:
         """True when every internal vertex has exactly one leaf child."""
         # per open vertex: children still to come, negated once its leaf child is seen
@@ -158,19 +147,8 @@ class PlaneTree:
                 stack.append(1 - r)
         return True
 
-    def parents(self) -> tuple[int, ...]:
-        """Parent index per vertex (-1 for the root)."""
-        return self._parents
-
-    def children(self) -> tuple[tuple[int, ...], ...]:
-        return self._children
-
     def height(self) -> int:
         return int(self.structure.depth.max())
-
-    def leaves(self) -> list[int]:
-        """Leaf vertices in lexicographic order."""
-        return [i for i, k in enumerate(self.code) if k == 0]
 
     def leaf_count(self) -> int:
         return self.code.count(0)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import tree_views
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -102,7 +103,7 @@ class TestCells:
             for mt in enumerate_marked(n):
                 H = phi_inverse(mt)
                 match = _marked_vertex_of(H, phi_with_faces(H)[1])
-                for leaf, p in enumerate(H.tree.parents()):
+                for leaf, p in enumerate(tree_views(H.tree)[0]):
                     if not H.tree.code[leaf]:
                         assert match[leaf] == match[p]
                 cells = _cells(H)

@@ -42,6 +42,17 @@ _PINNED_STDOUT = [
      "d41a4a923c0b9521c7ca926099ec6a0489f094ce48ad38f98bd017ead8591e2c"),
     (["gh", "lemma", "-n", "4", "--exhaustive", "--format", "json"],
      "3d9f7b55a0709b0d909f9f558224b3d1c5dce480370f80074a5e27b65fd23868"),
+    # the looptree and graph outputs, pinned before edges became int32 arrays
+    (["loop", "--tree", "2 1 2 0 0 3 0 0 0", "--format", "json"],
+     "184e482f1b6006fb4f86b6f0c5a84e912f9b331eb458dfb0b4f87d88130be5c0"),
+    (["render", "looptree", "--tree", "2 1 2 0 0 3 0 0 0", "--format", "dot"],
+     "b05ecc66a81665fe16982d32b7bcd951a69d43927d8b39fb543adfbfa58a3977"),
+    (["render", "tree", "--tree", "2 1 2 0 0 3 0 0 0", "--format", "dot"],
+     "c3dfac8e06cb409e17330fa5156250516d95cb7130e6a51c4813a3db5e1b55db"),
+    (["render", "halin", "--tree", "4 2 1 0 0 1 0 0 1 0", "--format", "dot"],
+     "93fe952ddce2e2f1257717c477d98545848b53aa6dfade21353f62a636f8efc1"),
+    (["loop", "--tree", "1 1 0", "--format", "json"],
+     "75f030faffca37b7d0103e5c8d5240dc79129a8c5cff36fc6c0032ce2ef8df30"),
 ]
 
 
@@ -460,6 +471,10 @@ class TestSampleAndMu:
         capout(["mu", "--alpha", "1.5", "--kmax", "-3"], expect=EXIT_USAGE)
         monkeypatch.setenv("HLL_SEED", "x")
         capout(["sample", "-n", "4"], expect=EXIT_USAGE)
+        # str.isdigit takes a superscript two, which int refuses
+        capout(["sample", "-n", "3", "--seed", "\u00b2"], expect=EXIT_USAGE)
+        monkeypatch.setenv("HLL_SEED", "\u00b2")
+        capout(["sample", "-n", "3"], expect=EXIT_USAGE)
 
 
 class TestLoopAndRender:

@@ -1,7 +1,7 @@
 """The one-path versions of gh_exact, enumerate_trees, render(HalinMap),
-hat_H, mark_uniformly, phi's dual walk, the lemma's vertex matching and
-map_graph against the code they replaced, kept here as ``_reference``
-functions, plus a brute-force GH on tiny spaces.  ``canonical_reference``
+hat_H, mark_uniformly, phi's dual walk, the lemma's vertex matching,
+map_graph, loop and hat_L against the code they replaced, kept here as
+``_reference`` functions, plus a brute-force GH on tiny spaces.  ``canonical_reference``
 is the canonical form the tests compare rooted maps by."""
 
 from bisect import bisect_right
@@ -10,6 +10,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from conftest import tree_views
 
 from halinloop.bijection import _marked_vertex_of, phi, phi_inverse, phi_with_faces
 from halinloop.errors import BudgetExceededError, InvariantError, UsageError
@@ -23,10 +24,11 @@ from halinloop.looptree import (
     canonical_correspondence,
     halin_metric,
     hat_H,
+    hat_L,
     loop,
     map_graph,
 )
-from halinloop.plane_tree import MarkedTree, PlaneTree, enumerate_trees
+from halinloop.plane_tree import MarkedTree, PlaneTree, enumerate_marked, enumerate_trees
 
 
 def gh_exact_reference(x, y, budget=10**9):
@@ -153,7 +155,7 @@ def render_halin_reference(H):
         t = m.twin[d]
         return (d, t) if d < t else (t, d)
 
-    boundary = {edge_of(d) for leaf in H.tree.leaves() for d in m.vertices[leaf]}
+    boundary = {edge_of(d) for leaf in tree_views(H.tree)[2] for d in m.vertices[leaf]}
     lines = ["graph halin {"]
     lines += ["  %d;" % v for v in range(m.n_vertices)]
     for d, t in m.edges():
@@ -177,15 +179,49 @@ def hat_H_reference(H):
     the tree edges between internal vertices, then the images of
     consecutive leaves around the leaf cycle when they differ."""
     internal, image = _leaf_contraction(H.tree)
-    parents = H.tree.parents()
+    parents, _, leaves = tree_views(H.tree)
     edges = [(image[parents[v]], image[v]) for v in internal if v > 0]
-    leaves = H.tree.leaves()
     lam = len(leaves)
     for i in range(lam):
         a, b = image[leaves[i]], image[leaves[(i + 1) % lam]]
         if a != b:
             edges.append((a, b))
-    return LoopGraph(len(internal), tuple(edges)).metric_space(), internal
+    return LoopGraph(len(internal), tuple(edges)).metric_space(), tuple(internal.tolist())
+
+
+def _cycle_edges_reference(edges, hub, ring):
+    """Append the cycle hub, ring[0], ..., ring[-1], hub: the two hub
+    edges first, then consecutive ring members (a doubled edge when the
+    ring has one member)."""
+    edges.append((hub, ring[0]))
+    edges.append((hub, ring[-1]))
+    edges.extend(zip(ring, ring[1:]))
+
+
+def loop_reference(tree):
+    """Looptree edges as Python pairs, one cycle per vertex with children,
+    in vertex order."""
+    edges = []
+    for v, kids in enumerate(tree_views(tree)[1]):
+        if kids:
+            _cycle_edges_reference(edges, v, kids)
+    return edges
+
+
+def hat_L_reference(marked):
+    """Root-shifted looptree metric, its cycles rebuilt from the children
+    tuples: the last root child's cycle hubbed at the root, and the root
+    cycle re-threaded with that child in slot s."""
+    ch = tree_views(marked.shape)[1]
+    u = ch[0]
+    edges = []
+    for v, kids in enumerate(ch):
+        if kids and v:
+            _cycle_edges_reference(edges, 0 if u and v == u[-1] else v, kids)
+    if u:
+        s = min(marked.marks[0] + 1, len(u))
+        _cycle_edges_reference(edges, 0, u[: s - 1] + (u[-1],) + u[s - 1 : -1])
+    return LoopGraph(marked.shape.zeta, tuple(edges)).metric_space()
 
 
 def phi_inverse_cells_reference(marked):
@@ -436,7 +472,31 @@ def test_map_graph_matches_reference():
             maps.append(phi_inverse(MarkedTree(shape, tuple(rng.integers(0, shape.counts + 1).tolist()))))
     assert len(maps) == 4787 + 6
     for H in maps:
-        assert map_graph(H.tree) == map_graph_reference(H.map)
+        got, want = map_graph(H.tree), map_graph_reference(H.map)
+        assert got.n == want.n
+        assert np.array_equal(got.edges, want.edges)
+
+
+def test_loop_matches_reference():
+    """The same oriented edges, as sorted lists, on every tree with n <= 10
+    and on sampled stable-1.5 and uniform trees at n = 1,000, 16,384 and
+    65,536."""
+    trees = [t for n in range(1, 11) for t in enumerate_trees(n)]
+    rng = np.random.default_rng(29)
+    for n in (1000, 16384, 65536):
+        for mu in (stable_mu(1.5), mu_from_weights(lambda k: 1.0)):
+            trees.append(sample_conditioned(mu, n, rng))
+    assert len(trees) == 6918 + 6
+    for t in trees:
+        g = loop(t)
+        assert g.n == t.zeta
+        assert sorted(g.edges.tolist()) == sorted(map(list, loop_reference(t)))
+
+
+def test_hat_L_matches_reference():
+    for n in range(1, 7):
+        for mt in enumerate_marked(n):
+            assert np.array_equal(hat_L(mt).dist, hat_L_reference(mt).dist)
 
 
 @pytest.mark.parametrize("code", [(2, 0, 0), (1, 1, 0), (2, 0, 2, 0, 0), (0,)])

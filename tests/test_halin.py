@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from conftest import tree_views
 from test_fold_reference import canonical_reference
 
 from halinloop.errors import SizeGuardError, UsageError
@@ -128,7 +129,7 @@ class TestStructure:
     def test_boundary_vertices_have_degree_three(self):
         for n in range(1, 6):
             for H in enumerate_halin(n):
-                for leaf in H.tree.leaves():
+                for leaf in tree_views(H.tree)[2]:
                     assert len(H.map.vertices[leaf]) == 3
 
     def test_face_degrees_smallest_maps(self):

@@ -4,6 +4,7 @@ phi / phi^-1 over filtered face cycles, ``list.index`` and dicts."""
 
 import numpy as np
 import pytest
+from conftest import tree_views
 
 from halinloop.bijection import _marked_vertex_of, phi_inverse, phi_with_faces
 from halinloop.gw import mu_from_weights, sample_conditioned, stable_mu
@@ -56,14 +57,14 @@ def _rotations_to_nxt_reference(rotations, n_darts):
 
 def _tree_rotations_reference(tree):
     return [([_up(v)] if v else []) + [_down(c) for c in kids]
-            for v, kids in enumerate(tree.children())]
+            for v, kids in enumerate(tree_views(tree)[1])]
 
 
 def _build_reference(tree):
     """twin, nxt, root dart, half-edge dart and orbits of the Halin map
     of ``tree``, rotation lists first."""
     zeta = tree.zeta
-    leaves = tree.leaves()
+    leaves = tree_views(tree)[2]
     lam = len(leaves)
     base = 2 * (zeta - 1)
     h = base + 2 * lam
@@ -147,7 +148,7 @@ def _phi_inverse_reference(marked):
     code, n = T.code, T.zeta
     if n == 1:
         return (1, 0), (0,)
-    ch = T.children()
+    ch = tree_views(T)[1]
     nxt = _rotations_to_nxt_reference(_tree_rotations_reference(T), 2 * (n - 1))
     start = _down(ch[0][0])
     contour = [start]

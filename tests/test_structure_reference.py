@@ -27,7 +27,7 @@ def parents_depths_reference(code):
 
 def _assert_matches_reference(tree):
     par, dep = parents_depths_reference(tree.code)
-    assert tree.parents() == par
+    assert tuple(tree.structure.parent.tolist()) == par
     assert tree.structure.depth.tolist() == list(dep)
     assert tree.height() == max(dep)
     assert lukasiewicz(tree) == (0, *accumulate(k - 1 for k in tree.code))
