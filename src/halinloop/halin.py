@@ -29,6 +29,8 @@ from itertools import chain
 from math import prod
 from typing import Callable, Iterator
 
+import numpy as np
+
 from .errors import InvariantError, SizeGuardError, UsageError
 from .planar_map import PlanarMap
 from .plane_tree import PlaneTree
@@ -107,11 +109,11 @@ class HalinMap:
     @cached_property
     def outer_face(self) -> int:
         # the unbounded face is the orbit of the forward boundary darts
-        return self.map.face_of[n_tree_darts(self.tree.zeta)]
+        return int(self.map.face_labels[0][n_tree_darts(self.tree.zeta)])
 
     @cached_property
     def root_face(self) -> int:
-        return self.map.face_of[self.map.half_edge_dart]
+        return int(self.map.face_labels[0][self.map.half_edge_dart])
 
     def bounded_faces(self) -> list[int]:
         return [f for f in range(self.map.n_faces) if f != self.outer_face]
@@ -128,7 +130,7 @@ class HalinMap:
     def validate(self) -> None:
         m = self.map
         m.check_euler()
-        code, zeta, n = self.tree.code, self.tree.zeta, self.tree.leaf_count()
+        k, zeta, n = self.tree.counts, self.tree.zeta, self.tree.leaf_count()
         if zeta != 2 * n or not satisfies_hstar(self.tree):
             raise InvariantError("tree violates the one-leaf-child rule")
         if m.n_edges != zeta - 1 + n:
@@ -136,29 +138,27 @@ class HalinMap:
         if m.n_faces != n + 1:
             raise InvariantError("face count mismatch")
         # internal vertices have degree k+1 (children plus up edge, or
-        # plus half-edge at the root); leaves have degree 3.
-        for v, orb in enumerate(m.vertices):
-            expect = 3 if code[v] == 0 else code[v] + 1
-            if len(orb) != expect:
-                raise InvariantError(
-                    "vertex %d degree %d, expected %d" % (v, len(orb), expect)
-                )
+        # plus half-edge at the root); leaves have degree 3.  Euler's
+        # formula and the counts above leave zeta vertices.
+        deg, expect = m.vertex_labels[1], np.where(k == 0, 3, k + 1)
+        v = int(np.argmax(deg != expect))  # the first mismatch, if any
+        if deg[v] != expect[v]:
+            raise InvariantError("vertex %d degree %d, expected %d" % (v, deg[v], expect[v]))
         # every bounded face has degree at least four and shares exactly one
         # edge with the unbounded face, whose darts' twins count the shares
-        shared = [0] * m.n_faces
-        for d in m.faces[self.outer_face]:
-            t = m.twin[d]
-            if t != d:
-                shared[m.face_of[t]] += 1
-        degs = m.face_degrees()
-        for f in self.bounded_faces():
+        face, degs = m.face_labels
+        twin, outer = m.twin, self.outer_face
+        ends = [t for d in np.flatnonzero(face == outer).tolist() if (t := twin[d]) != d]
+        shared = np.bincount(face[ends], minlength=len(degs))
+        bad = (degs < 4) | (shared != 1)
+        bad[outer] = False
+        f = int(np.argmax(bad))
+        if bad[f]:
             if degs[f] < 4:
                 raise InvariantError("bounded face of degree %d" % degs[f])
-            if shared[f] != 1:
-                raise InvariantError(
-                    "bounded face %d shares %d edges with the unbounded face"
-                    % (f, shared[f])
-                )
+            raise InvariantError(
+                "bounded face %d shares %d edges with the unbounded face" % (f, shared[f])
+            )
 
 
 # -- dart layout ---------------------------------------------------------------

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import countOf
 
 import numpy as np
 
@@ -32,15 +34,29 @@ _MATRIX_GUARD = 4_096
 @dataclass(frozen=True, eq=False)
 class LoopGraph:
     """An undirected unit-length multigraph on vertices 0..n-1, and its
-    graph metric.  ``edges`` may be given as any sequence of pairs; it is
-    held as a read-only (m, 2) int32 array."""
+    graph metric.  ``edges`` may be given as an (m, 2) array or any
+    sequence of pairs; it is held as a read-only (m, 2) int32 array, and
+    anything but pairs of vertices in [0, n) raises UsageError."""
 
     n: int
     edges: np.ndarray
 
     def __post_init__(self):
+        edges = self.edges
+        if not isinstance(edges, np.ndarray):  # Python pairs: one fromiter over their ends
+            try:
+                pairs = countOf(map(len, edges), 2) == len(edges)
+            except TypeError:  # an item with no length
+                pairs = False
+            if not pairs:
+                raise UsageError("edges must be pairs of vertices")
+            edges = np.fromiter(chain.from_iterable(edges), np.int32, 2 * len(edges))
+        elif edges.size and (edges.ndim != 2 or edges.shape[1] != 2):
+            raise UsageError("edges must be pairs of vertices")
         # a view: freezing it leaves a caller's own array writeable
-        edges = np.asarray(self.edges, np.int32).reshape(-1, 2)
+        edges = np.asarray(edges, np.int32).reshape(-1, 2)
+        if edges.size and (edges.min() < 0 or edges.max() >= self.n):
+            raise UsageError("edge vertex outside [0, %d)" % self.n)
         edges.flags.writeable = False
         object.__setattr__(self, "edges", edges)
 

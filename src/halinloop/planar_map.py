@@ -6,7 +6,10 @@ two darts of each edge; an optional half-edge dart is its own twin.
 vertex.  Faces are the orbits of d -> nxt[twin[d]]; with this
 orientation the orbit through d traverses the face on the left of d.
 The half-edge contributes exactly one side to the face containing it
-and is excluded from the edge count.
+and is excluded from the edge count.  Vertices and faces are held as
+orbit labels, each dart's orbit numbered by its smallest dart, with the
+orbit sizes as degrees: a walk labels small maps, one C
+``connected_components`` call large ones.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from .errors import InvariantError
 
@@ -81,42 +86,33 @@ class PlanarMap:
         return tuple(map(self.nxt.__getitem__, self.twin))
 
     @cached_property
-    def _vertex_orbits(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        return _orbits(self.nxt)
+    def vertex_labels(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each dart's vertex, an orbit of nxt, and the vertex degrees."""
+        return _orbit_labels(self.nxt)
 
     @cached_property
-    def _face_orbits(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        return _orbits(self.face_nxt)
-
-    @cached_property
-    def vertices(self) -> tuple[tuple[int, ...], ...]:
-        """Orbits of nxt: the darts around each vertex, ccw."""
-        return self._vertex_orbits[0]
+    def face_labels(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each dart's face, an orbit of ``face_nxt``, and the face degrees."""
+        return _orbit_labels(self.face_nxt)
 
     @cached_property
     def vertex_of(self) -> tuple[int, ...]:
-        return self._vertex_orbits[1]
-
-    @cached_property
-    def faces(self) -> tuple[tuple[int, ...], ...]:
-        """Orbits of ``face_nxt``; each orbit lists the darts whose left
-        side is that face, in traversal order."""
-        return self._face_orbits[0]
+        return tuple(self.vertex_labels[0].tolist())
 
     @cached_property
     def face_of(self) -> tuple[int, ...]:
-        return self._face_orbits[1]
+        return tuple(self.face_labels[0].tolist())
 
     @property
     def n_vertices(self) -> int:
-        return len(self.vertices)
+        return len(self.vertex_labels[1])
 
     @property
     def n_faces(self) -> int:
-        return len(self.faces)
+        return len(self.face_labels[1])
 
     def face_degrees(self) -> list[int]:
-        return [len(f) for f in self.faces]
+        return self.face_labels[1].tolist()
 
     def check_euler(self) -> None:
         if self.n_vertices - self.n_edges + self.n_faces != 2:
@@ -144,20 +140,30 @@ class PlanarMap:
         )
 
 
-def _orbits(perm) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """The cycles of a permutation, each from its smallest element and
-    numbered in that order, and the cycle of each element."""
-    of = [-1] * len(perm)
-    out = []
-    for start, k in enumerate(of):
-        if k >= 0:
-            continue
-        k = len(out)
-        orb = []
-        d = start
-        while of[d] < 0:
-            of[d] = k
-            orb.append(d)
-            d = perm[d]
-        out.append(tuple(orb))
-    return tuple(out), tuple(of)
+# from about this many darts one C connected_components call beats the walk: on
+# Halin maps (2 cores) they tie at 1,500-2,400, and 12,287 take 1.3 ms against 0.65
+ORBIT_LABEL_MIN_DARTS = 2048
+
+
+def _orbit_labels(perm) -> tuple[np.ndarray, np.ndarray]:
+    """Each element's cycle in a permutation, cycles numbered in the order of
+    their smallest elements, and the cycle sizes, read-only: by a walk, or by
+    the weak components of d -> perm[d], which scipy numbers the same way."""
+    d = len(perm)
+    if d < ORBIT_LABEL_MIN_DARTS:
+        of, k = [-1] * d, 0
+        for x, label in enumerate(of):
+            if label < 0:
+                while of[x] < 0:
+                    of[x], x = k, perm[x]
+                k += 1
+        labels = np.array(of, np.intp)
+    else:
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        g = csr_matrix((np.ones(d, np.int8), np.fromiter(perm, np.int32, d), np.arange(d + 1, dtype=np.int32)), (d, d))
+        labels = connected_components(g, connection="weak")[1]
+    sizes = np.bincount(labels)
+    labels.flags.writeable = sizes.flags.writeable = False
+    return labels, sizes

@@ -12,6 +12,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
+from conftest import map_orbits
 from scipy import stats
 
 from halinloop.bijection import (
@@ -102,8 +103,9 @@ def test_criterion_3_degree_law():
             for H in enumerate_halin(n):
                 marked, faces = phi_with_faces(H)
                 assert len(faces) == marked.shape.zeta
+                orbits = map_orbits(H.map)[1]
                 for v, f in enumerate(faces):
-                    assert marked.shape.code[v] == len(H.map.faces[f]) - 4
+                    assert marked.shape.code[v] == len(orbits[f]) - 4
 
 
 def test_criterion_4_pushforward_exact():
@@ -203,9 +205,10 @@ def test_criterion_8_invariant_sweep():
                 H.validate()  # Euler, one shared boundary edge per face, planarity
             except Exception as exc:
                 violations.append(("map-invariant", str(exc)))
-            boundary = {m.vertex_of[d] for d in m.faces[H.outer_face]}
+            vertices, faces = map_orbits(m)
+            boundary = {m.vertex_of[d] for d in faces[H.outer_face]}
             for v in boundary:
-                if len(m.vertices[v]) != 3:
+                if len(vertices[v]) != 3:
                     violations.append(("boundary-degree", (H.tree.code, v)))
 
         for z in range(1, 9):

@@ -120,7 +120,7 @@ def map_work(monkeypatch):
     from halinloop.looptree import LoopGraph
     from halinloop.planar_map import PlanarMap
 
-    calls = {"PlanarMap": 0, "_orbits": 0, "validate": 0, "diameter": 0}
+    calls = {"PlanarMap": 0, "_orbit_labels": 0, "validate": 0, "diameter": 0}
 
     def counted(key, real):
         def call(*a):
@@ -130,7 +130,7 @@ def map_work(monkeypatch):
         return call
 
     monkeypatch.setattr(PlanarMap, "__post_init__", counted("PlanarMap", PlanarMap.__post_init__))
-    monkeypatch.setattr(planar_map, "_orbits", counted("_orbits", planar_map._orbits))
+    monkeypatch.setattr(planar_map, "_orbit_labels", counted("_orbit_labels", planar_map._orbit_labels))
     monkeypatch.setattr(HalinMap, "validate", counted("validate", HalinMap.validate))
     monkeypatch.setattr(LoopGraph, "diameter", counted("diameter", LoopGraph.diameter))
     _allow_cpus(monkeypatch, 1)
@@ -189,7 +189,7 @@ class TestBijection:
         """The n = 4 round trip builds one rotation system per tree (its
         constructor checks it), and phi labels no face or vertex."""
         assert capout(["bij", "roundtrip", "-n", "4", "--exhaustive"]).strip() == "30/30 OK"
-        assert map_work == {"PlanarMap": 30, "_orbits": 0, "validate": 0, "diameter": 0}
+        assert map_work == {"PlanarMap": 30, "_orbit_labels": 0, "validate": 0, "diameter": 0}
 
     def test_phi_inv_are_inverse(self, capout):
         marked = capout(["bij", "phi", "--tree", "2 0 1 0"]).strip()
@@ -549,7 +549,7 @@ class TestExp:
         """A map-paired cell reads the map's graph off its tree: no
         rotation system, no orbit walk, no validation."""
         capout(["exp", "scaling", "--sizes", "64,256", "--samples", "3", "--seed", "5"])
-        assert map_work == {"PlanarMap": 0, "_orbits": 0, "validate": 0, "diameter": 6}
+        assert map_work == {"PlanarMap": 0, "_orbit_labels": 0, "validate": 0, "diameter": 6}
 
     def test_wrong_map_diameter_exits_invariant(self, capsys, monkeypatch):
         # the paired-map check is the lemma's only guard above n = 4

@@ -1,18 +1,23 @@
 """The one-path versions of gh_exact, enumerate_trees, render(HalinMap),
 hat_H, mark_uniformly, phi's dual walk, the lemma's vertex matching,
-map_graph, loop and hat_L against the code they replaced, kept here as
-``_reference`` functions, plus a brute-force GH on tiny spaces.  ``canonical_reference``
+map_graph, loop, hat_L and HalinMap.validate against the code they
+replaced, kept here as ``_reference`` functions (the orbit walk,
+``_orbits_reference``, lives in conftest), plus a brute-force GH on tiny
+spaces; and the two-path kernels, orbit labels and the contour cut, with
+each path forced on both sides of its cut-off.  ``canonical_reference``
 is the canonical form the tests compare rooted maps by."""
 
+import re
 from bisect import bisect_right
 from collections import Counter
 from itertools import product
 
 import numpy as np
 import pytest
-from conftest import tree_views
+from conftest import _orbits_reference, map_orbits, tree_views
 
-from halinloop.bijection import _marked_vertex_of, phi, phi_inverse, phi_with_faces
+from halinloop import bijection, planar_map
+from halinloop.bijection import _cut_arrays, _cut_contour, _marked_vertex_of, phi, phi_inverse, phi_with_faces
 from halinloop.errors import BudgetExceededError, InvariantError, UsageError
 from halinloop.experiments import mark_uniformly, render
 from halinloop.gh_metric import FiniteMetricSpace, gh_exact
@@ -28,6 +33,7 @@ from halinloop.looptree import (
     loop,
     map_graph,
 )
+from halinloop.planar_map import PlanarMap
 from halinloop.plane_tree import MarkedTree, PlaneTree, enumerate_marked, enumerate_trees
 
 
@@ -143,7 +149,7 @@ def canonical_reference(m, outer_face=None):
     half = order[m.half_edge_dart] if m.half_edge_dart is not None else None
     form = (twin, nxt, 0, half)
     if outer_face is not None:
-        form += (min(order[d] for d in m.faces[outer_face]),)
+        form += (min(order[d] for d in map_orbits(m)[1][outer_face]),)
     return form
 
 
@@ -155,7 +161,8 @@ def render_halin_reference(H):
         t = m.twin[d]
         return (d, t) if d < t else (t, d)
 
-    boundary = {edge_of(d) for leaf in tree_views(H.tree)[2] for d in m.vertices[leaf]}
+    vertices = map_orbits(m)[0]
+    boundary = {edge_of(d) for leaf in tree_views(H.tree)[2] for d in vertices[leaf]}
     lines = ["graph halin {"]
     lines += ["  %d;" % v for v in range(m.n_vertices)]
     for d, t in m.edges():
@@ -301,7 +308,7 @@ def phi_with_faces_reference(H):
     kind = [0] * m.n_darts
     kind[0:ntree:2] = kind[1:ntree:2] = [2 if k else 1 for k in H.tree.code[1:]]
     outer, root_face = H.outer_face, H.root_face
-    cyc = [d for d in m.faces[root_face] if kind[d]]
+    cyc = [d for d in map_orbits(m)[1][root_face] if kind[d]]
     r = len(cyc)
     at = next((i for i in range(r) if kind[cyc[i]] == kind[cyc[(i + 1) % r]] == 1), None)
     if at is None:
@@ -371,6 +378,43 @@ def canonical_pairs_reference(H):
 def mark_uniformly_marks_reference(tree, rng):
     """One rng.integers call per vertex, in order."""
     return tuple(int(rng.integers(0, k + 1)) for k in tree.code)
+
+
+def validate_reference(H):
+    """HalinMap.validate as a loop over the vertex orbits and one over the
+    unbounded face's darts, with the orbits from the walk."""
+    m = H.map
+    (vertices, faces), face_of = map_orbits(m), _orbits_reference(m.face_nxt)[1]
+    if len(vertices) - m.n_edges + len(faces) != 2:
+        raise InvariantError(
+            "Euler formula violated: V=%d E=%d F=%d" % (len(vertices), m.n_edges, len(faces))
+        )
+    code, zeta, n = H.tree.code, H.tree.zeta, H.tree.leaf_count()
+    if zeta != 2 * n or not satisfies_hstar(H.tree):
+        raise InvariantError("tree violates the one-leaf-child rule")
+    if m.n_edges != zeta - 1 + n:
+        raise InvariantError("edge count mismatch")
+    if len(faces) != n + 1:
+        raise InvariantError("face count mismatch")
+    for v, orb in enumerate(vertices):
+        expect = 3 if code[v] == 0 else code[v] + 1
+        if len(orb) != expect:
+            raise InvariantError("vertex %d degree %d, expected %d" % (v, len(orb), expect))
+    outer = face_of[n_tree_darts(zeta)]
+    shared = [0] * len(faces)
+    for d in faces[outer]:
+        t = m.twin[d]
+        if t != d:
+            shared[face_of[t]] += 1
+    for f, orb in enumerate(faces):
+        if f == outer:
+            continue
+        if len(orb) < 4:
+            raise InvariantError("bounded face of degree %d" % len(orb))
+        if shared[f] != 1:
+            raise InvariantError(
+                "bounded face %d shares %d edges with the unbounded face" % (f, shared[f])
+            )
 
 
 def _l1_space(rng, n_points):
@@ -608,3 +652,108 @@ def test_canonical_correspondence_matches_reference():
 def test_single_edge_map_matching():
     H = phi_inverse(MarkedTree(PlaneTree((0,)), (0,)))
     assert _marked_vertex_of(H, phi_with_faces(H)[1]) == [0, 0]
+
+
+def _sampled_perms():
+    """nxt and face_nxt of every map with n <= 6 and of sampled maps up to
+    n = 2048, random permutations of 1 to 5,000 elements, and an identity
+    and an involution."""
+    for n in range(1, 7):
+        for H in enumerate_halin(n):
+            yield from (H.map.nxt, H.map.face_nxt)
+    rng = np.random.default_rng(30)
+    for n in (64, 256, 300, 1024, 2048):
+        for mu in (stable_mu(1.5), mu_from_weights(lambda k: 1.0)):
+            shape = sample_conditioned(mu, n, rng)
+            m = phi_inverse(MarkedTree(shape, tuple(rng.integers(0, shape.counts + 1).tolist()))).map
+            yield from (m.nxt, m.face_nxt)
+    for d in (1, 2, 3, 7, 100, 2047, 2048, 5000):
+        yield tuple(rng.permutation(d).tolist())
+    yield tuple(range(3000))
+    yield tuple(d ^ 1 for d in range(3000))
+
+
+@pytest.mark.parametrize("min_darts", [0, 2048, 10**9])
+def test_orbit_labels_match_reference(monkeypatch, min_darts):
+    """Each dart's orbit numbered by its smallest dart and the orbit sizes,
+    by connected_components (0), the walk (10**9) and the default cut-off."""
+    monkeypatch.setattr(planar_map, "ORBIT_LABEL_MIN_DARTS", min_darts)
+    for perm in _sampled_perms():
+        labels, sizes = planar_map._orbit_labels(perm)
+        orbits, of = _orbits_reference(perm)
+        assert labels.tolist() == list(of)
+        assert sizes.tolist() == list(map(len, orbits))
+
+
+def _validate_outcome(check, H):
+    try:
+        check(H)
+    except InvariantError as exc:
+        return str(exc)
+    return "ok"
+
+
+def _maps_to_validate(pairs_n):
+    """Every map with n <= 6; every HalinMap(a, build_halin(b).map) of
+    distinct trees of one size n <= pairs_n; every map with n <= 3 with the twins
+    of two edges swapped; and a star, a wrong-size tree and a tree that
+    breaks the one-leaf-child rule, each with a map."""
+    for n in range(1, 7):
+        yield from enumerate_halin(n)
+    for n in range(1, pairs_n + 1):
+        trees = list(hstar_trees(n))
+        for a, b in product(trees, repeat=2):
+            if a != b:
+                yield HalinMap(a, build_halin(b).map)
+    for n in range(1, 4):
+        for H in enumerate_halin(n):
+            m = H.map
+            edges = m.edges()
+            for i, (a, a2) in enumerate(edges):
+                for b, b2 in edges[i + 1 :]:
+                    for x, y, z, w in ((a, b2, b, a2), (a, b, a2, b2)):
+                        twin = list(m.twin)
+                        twin[x], twin[y], twin[z], twin[w] = y, x, w, z
+                        try:
+                            yield HalinMap(H.tree, PlanarMap(twin, m.nxt, m.root_dart, m.half_edge_dart))
+                        except InvariantError:
+                            pass
+    # five edges and one face, as a map of a tree on four vertices needs three
+    star = PlanarMap([d ^ 1 for d in range(10)], [2, 1, 4, 3, 6, 5, 8, 7, 0, 9], 0)
+    yield HalinMap(PlaneTree((2, 0, 1, 0)), star)
+    yield HalinMap(PlaneTree((2, 0, 1, 0)), build_halin(PlaneTree((2, 0, 2, 0, 1, 0))).map)
+    yield HalinMap(PlaneTree((2, 0, 0)), build_halin(PlaneTree((1, 0))).map)
+
+
+@pytest.mark.parametrize("min_darts, pairs_n", [(10**9, 5), (0, 4)])
+def test_validate_matches_reference(monkeypatch, min_darts, pairs_n):
+    """The same outcome and message as the reference on every map of
+    ``_maps_to_validate``, with the labels of the walk (10**9) or of
+    connected_components (0; its 0.3 ms a call keeps the pairs to n <= 4),
+    and every message among them."""
+    monkeypatch.setattr(planar_map, "ORBIT_LABEL_MIN_DARTS", min_darts)
+    kinds = set()
+    for H in _maps_to_validate(pairs_n):
+        got = _validate_outcome(HalinMap.validate, H)
+        assert got == _validate_outcome(validate_reference, H)
+        kinds.add(re.sub(r"\d+", "#", got))
+    assert kinds == {
+        "ok", "Euler formula violated: V=# E=# F=#", "tree violates the one-leaf-child rule",
+        "edge count mismatch", "face count mismatch", "vertex # degree #, expected #",
+        "bounded face of degree #", "bounded face # shares # edges with the unbounded face",
+    }
+
+
+def test_cut_arrays_matches_walk(monkeypatch):
+    """The contour cut on arrays, called directly, equals the walk on every
+    marked tree with 2 <= n <= 7 and on sampled trees up to 2^16."""
+    monkeypatch.setattr(bijection, "CUT_ARRAY_MIN_N", 10**9)  # the walk at every size
+    for n in range(2, 8):
+        for marked in enumerate_marked(n):
+            assert _cut_arrays(marked) == _cut_contour(marked)
+    rng = np.random.default_rng(40)
+    for mu in (stable_mu(1.5), mu_from_weights(lambda k: 1.0)):
+        for n in (300, 2048, 16384, 65536):
+            shape = sample_conditioned(mu, n, rng)
+            marked = MarkedTree(shape, tuple(rng.integers(0, shape.counts + 1).tolist()))
+            assert _cut_arrays(marked) == _cut_contour(marked)

@@ -120,6 +120,21 @@ class TestDistances:
         assert g.all_distances().tolist() == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
         assert LoopGraph(1, ()).diameter() == 0
 
+    @pytest.mark.parametrize("edges", [
+        ((0, 1, 2), (0, 1, 2)),  # six ends that would pass for three pairs
+        ((0, 1), (2,)),
+        ((0, 1), 2),
+        np.zeros((2, 3), np.int32),
+    ])
+    def test_items_that_are_not_pairs_rejected(self, edges):
+        with pytest.raises(UsageError):
+            LoopGraph(3, edges)
+
+    @pytest.mark.parametrize("edges", [((0, 1), (1, 3)), ((-1, 0),), np.array([[0, 3]])])
+    def test_vertices_outside_the_graph_rejected(self, edges):
+        with pytest.raises(UsageError):
+            LoopGraph(3, edges)
+
     def test_disconnected_rejected(self):
         g = LoopGraph(3, ((0, 1),))
         with pytest.raises(UsageError):

@@ -4,7 +4,7 @@ phi / phi^-1 over filtered face cycles, ``list.index`` and dicts."""
 
 import numpy as np
 import pytest
-from conftest import tree_views
+from conftest import _orbits_reference, map_orbits, tree_views
 
 from halinloop.bijection import _marked_vertex_of, phi_inverse, phi_with_faces
 from halinloop.gw import mu_from_weights, sample_conditioned, stable_mu
@@ -20,23 +20,6 @@ def _down(v):
 
 def _up(v):
     return 2 * (v - 1) + 1
-
-
-def _orbits_reference(perm):
-    n = len(perm)
-    seen = [False] * n
-    out = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        orb = []
-        d = start
-        while not seen[d]:
-            seen[d] = True
-            orb.append(d)
-            d = perm[d]
-        out.append(tuple(orb))
-    return tuple(out)
 
 
 def _index_of(orbits, n):
@@ -74,8 +57,8 @@ def _build_reference(tree):
         rotations[v] += [base + 2 * ((i - 1) % lam) + 1, base + 2 * i]
     twin = tuple([d ^ 1 for d in range(h)] + [h])
     nxt = tuple(_rotations_to_nxt_reference(rotations, h + 1))
-    vertices = _orbits_reference(nxt)
-    faces = _orbits_reference([nxt[twin[d]] for d in range(h + 1)])
+    vertices = _orbits_reference(nxt)[0]
+    faces = _orbits_reference([nxt[twin[d]] for d in range(h + 1)])[0]
     face_of = _index_of(faces, h + 1)
     return {
         "twin": twin, "nxt": nxt, "root_dart": 0, "half_edge_dart": h,
@@ -89,7 +72,7 @@ def _fields(H):
     m = H.map
     return {
         "twin": m.twin, "nxt": m.nxt, "root_dart": m.root_dart,
-        "half_edge_dart": m.half_edge_dart, "vertices": m.vertices, "faces": m.faces,
+        "half_edge_dart": m.half_edge_dart, **dict(zip(("vertices", "faces"), map_orbits(m))),
         "vertex_of": m.vertex_of, "face_of": m.face_of, "outer_face": H.outer_face,
     }
 

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from conftest import map_orbits
 from test_fold_reference import canonical_reference
 
 from halinloop.errors import InvariantError
@@ -83,10 +84,11 @@ class TestOrbitsAndEuler:
 
     def test_face_of_and_vertex_of_consistent(self):
         m = smallest_map()
-        for fi, orb in enumerate(m.faces):
+        vertices, faces = map_orbits(m)
+        for fi, orb in enumerate(faces):
             for d in orb:
                 assert m.face_of[d] == fi
-        for vi, orb in enumerate(m.vertices):
+        for vi, orb in enumerate(vertices):
             for d in orb:
                 assert m.vertex_of[d] == vi
 
